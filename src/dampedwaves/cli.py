@@ -80,8 +80,7 @@ def cmd_run(args) -> int:
     try:
         traj = run_evolution(h0, xi0, cfg.params, cfg.grid, cfg.dt, cfg.t_final,
                              record_every=cfg.record_every, opts=cfg.step_options)
-        records = dg.compute_records(traj, floor_rel=cfg.noise_floor_rel,
-                                     opts=cfg.step_options)
+        records = dg.compute_records(traj, floor_rel=cfg.noise_floor_rel)
     except (ContractionError, DiffeomorphismError, NumericsError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 3

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import phi1_dz, solve_phi1, solve_phi2
+from .elliptic import gradient_norm, solve_phi1, solve_phi2
 from .errors import ConfigurationError
 from .evolution import (ModelParams, SimState, StepOptions, Trajectory,
                         evaluate_rhs, linear_rhs_arrays)
-from .geometry import StripGrid, build_geometry
+from .geometry import StripGrid, build_geometry, zero_strip
 from .norms import InequalityReport, NormSpec, sobolev_norm
 from .spectral import (SpectrumField, dx, lam, mode_numbers, mollify,
                        pad_size, project, values_on_grid)
@@ -173,38 +173,39 @@ class DiagRecord:
 def bulk_gradient_norm(state: SimState, params: ModelParams, grid: StripGrid,
                        opts: StepOptions = StepOptions(),
                        s: float = 2.5) -> float:
-    """Proxy for ‖∇φ‖_s²: Σ_n (1+|n|)^{2s} ∫ (|∂₁φ̂|² + |∂₂φ̂|²) dx₂.
+    """elliptic.gradient_norm of the potential at one state, solved afresh.
 
-    Fractional regularity is charged entirely to the horizontal multiplier
-    (equivalent norm for the harmonic-type fields at hand); quadrature is
-    trapezoid plus the modeled e^{2|n|x₂} tail.
+    The geometry and Picard problem are the stepper's (εh^κ, ξ^κ, opts); with
+    opts.linear_only the potential is φ₁ = e^{x₂Λ}ξ^κ on the flat strip.
     """
-    hk = mollify(state.h, params.kappa)
-    xik = mollify(state.xi, params.kappa)
-    bundle = build_geometry(params.epsilon * hk, grid)
-    phi1 = solve_phi1(xik, grid)
+    phi1 = solve_phi1(mollify(state.xi, params.kappa), grid)
+    if opts.linear_only:
+        zero = zero_strip(grid)
+        return gradient_norm(phi1, zero, zero, s)
+    bundle = build_geometry(params.epsilon * mollify(state.h, params.kappa), grid,
+                            margin_min=opts.margin_min)
     esol = solve_phi2(bundle, phi1, tol=opts.picard_tol,
                       max_iter=opts.picard_max_iter)
-    u1 = (phi1 + esol.phi2).dx()
-    u2 = phi1_dz(phi1) + esol.dzphi2
-    dens = np.abs(u1.coeffs) ** 2 + np.abs(u2.coeffs) ** 2
-    per_mode = np.trapezoid(dens, dx=grid.dz, axis=1)
-    decay = 2.0 * np.maximum(np.abs(grid.modes).astype(float), 1.0)
-    per_mode = per_mode + dens[:, 0] / decay
-    w = (1.0 + np.abs(grid.modes).astype(float)) ** (2.0 * s)
-    return float(np.sum(w * per_mode))
+    return gradient_norm(phi1, esol.phi2, esol.dzphi2, s)
 
 
 def compute_records(traj: Trajectory,
                     floor_rel: float = DEFAULT_NOISE_FLOOR,
                     opts: StepOptions | None = None) -> list[DiagRecord]:
-    """Diagnostics at every recorded state (elliptic re-solved per record)."""
+    """Diagnostics at every recorded state.
+
+    opts default to the trajectory's own.  Under those options the bulk
+    term reuses the value the stepper took from its own elliptic solve at
+    each state (traj.bulk), so only the states no step solved are solved
+    here: the final state and those of hand-built trajectories.
+    """
     params = traj.params
     if params.mu > 0 and params.mu >= params.alpha / 2.0:
         raise ConfigurationError(
             f"analyticity diagnostics need mu < alpha/2 (mu={params.mu}, alpha={params.alpha})")
     if opts is None:
-        opts = StepOptions.for_dt(traj.dt)
+        opts = traj.step_options
+    reused = traj.bulk if opts == traj.step_options else ()
     times = traj.times
     if np.any(np.diff(times) <= 0):
         raise ConfigurationError("trajectory records are not strictly increasing in time")
@@ -214,11 +215,13 @@ def compute_records(traj: Trajectory,
     bulk_integral = 0.0
     prev_t = None
     prev_bulk = None
-    for state in traj.states:
+    for i, state in enumerate(traj.states):
         sh = sobolev_norm(state.h, 3.0)
         sx = sobolev_norm(state.xi, 3.0)
         boundary_max = max(boundary_max, sh ** 2 + sx ** 2)
-        bulk = bulk_gradient_norm(state, params, traj.grid, opts)
+        bulk = reused[i] if i < len(reused) else None
+        if bulk is None:
+            bulk = bulk_gradient_norm(state, params, traj.grid, opts)
         if prev_t is not None:
             bulk_integral += 0.5 * (bulk + prev_bulk) * (state.t - prev_t)
         prev_t, prev_bulk = state.t, bulk
@@ -263,7 +266,7 @@ def check_xi_energy_budget(traj: Trajectory, floor_rel: float = DEFAULT_NOISE_FL
     a relative slack for the finite-difference-in-time error.
     """
     if opts is None:
-        opts = StepOptions.for_dt(traj.dt)
+        opts = traj.step_options
     params = traj.params
     states = traj.states
     if len(states) < 3:

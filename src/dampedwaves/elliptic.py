@@ -24,16 +24,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigurationError, ContractionError
-from .geometry import (GeometryBundle, StripField, StripGrid, fd_derivative,
-                       harmonic_extension, strip_project, zero_strip)
+from .geometry import (GeometryBundle, StripField, StripGrid, extension_profile,
+                       fd_derivative, harmonic_extension, strip_project,
+                       strip_project_stack, strip_values_stack, zero_strip)
 from .norms import NormSpec, strip_norm
 from .spectral import (SpectrumField, dx, lam, pad_size, project,
-                       values_on_grid)
+                       values_stack)
 
 
 def solve_phi1(xi: SpectrumField, grid: StripGrid) -> StripField:
@@ -67,6 +68,14 @@ def _product_trapezoid_weights(theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return w0, w1
 
 
+@lru_cache(maxsize=16)
+def _prefix_weights(grid: StripGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w0, w1, e^{−θ}) at θ = |n|·dz, the per-grid constants of the prefix loop."""
+    theta = np.abs(grid.modes).astype(float) * grid.dz
+    w0, w1 = _product_trapezoid_weights(theta)
+    return w0, w1, np.exp(-theta)
+
+
 @dataclass(frozen=True)
 class PoissonSolution:
     """Solution of Δφ = ∇·g with zero top trace and decaying bottom flux."""
@@ -92,7 +101,7 @@ def poisson_divform(g1: StripField, g2: StripField,
     nz = grid.n_depth
     dz = grid.dz
 
-    f = np.stack([g1.coeffs, g2.coeffs])          # (2, N, Nz)
+    f = np.array([g1.coeffs, g2.coeffs])          # (2, N, Nz)
     scale = np.max(np.abs(f))
     tail_defect = float(np.max(np.abs(f[:, :, 0])) / scale) if scale > 0 else 0.0
     if tail_defect > tail_tol:
@@ -100,26 +109,28 @@ def poisson_divform(g1: StripField, g2: StripField,
             f"forcing has not decayed at depth -L_d (relative size {tail_defect:.2e}); "
             "truncation error exceeds tail_tol", stacklevel=2)
 
-    theta = absn * dz
-    w0, w1 = _product_trapezoid_weights(theta)
-    damp = np.exp(-theta)
+    w0, w1, damp = _prefix_weights(grid)
 
     inc_up = dz * (w0[None, :, None] * f[:, :, :-1] + w1[None, :, None] * f[:, :, 1:])
     inc_dn = dz * (w1[None, :, None] * f[:, :, :-1] + w0[None, :, None] * f[:, :, 1:])
 
     # one combined prefix loop: rows 0..1 accumulate upward (A), rows 2..3
-    # accumulate the depth-reversed downward integrals (B)
-    inc = np.concatenate([inc_up, inc_dn[:, :, ::-1]], axis=0)
-    acc = np.zeros_like(inc[:, :, 0])
-    stacked = np.zeros((4, f.shape[1], nz), dtype=np.complex128)
-    for m in range(nz - 1):
-        acc = damp * acc + inc[:, :, m]
-        stacked[:, :, m + 1] = acc
+    # accumulate the depth-reversed downward integrals (B); depth-major
+    # storage makes each step two contiguous ufunc calls on prebuilt row views
+    stacked = np.zeros((nz, 4, f.shape[1]), dtype=np.complex128)
+    stacked[1:, :2] = inc_up.transpose(2, 0, 1)
+    stacked[1:, 2:] = inc_dn[:, :, ::-1].transpose(2, 0, 1)
+    rows = list(stacked)
+    tmp = np.empty_like(rows[0])
+    for prev, cur in zip(rows[1:-1], rows[2:]):
+        np.multiply(damp, prev, tmp)
+        np.add(cur, tmp, cur)
+    stacked = stacked.transpose(1, 2, 0)
     a = stacked[:2]
     b = stacked[2:, :, ::-1]
 
     j0 = a[:, :, -1]
-    e_prof = np.exp(absn[:, None] * grid.z[None, :])
+    e_prof = extension_profile(grid)
     isg = 1j * np.sign(n).astype(float)
 
     phi = (0.5 * isg[:, None] * (e_prof * j0[0][:, None] - a[0] - b[0])
@@ -136,7 +147,8 @@ def poisson_divform(g1: StripField, g2: StripField,
         warnings.warn(
             f"mode 0 has nonzero net flux at depth ({flux:.2e}); "
             "no decaying solution exists", stacklevel=2)
-    prim = cumulative_trapezoid(g20, dx=dz, initial=0.0)
+    prim = np.zeros(nz, dtype=np.complex128)   # cumulative trapezoid, prim[0] = 0
+    prim[1:] = np.cumsum(dz * (g20[1:] + g20[:-1]) / 2.0)
     phi[0, :] = prim - prim[-1]
     dzphi[0, :] = g20
 
@@ -169,7 +181,8 @@ class EllipticSolution:
 
 
 def _q_values(bundle: GeometryBundle, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (bundle.q11.values(m), bundle.q12.values(m), bundle.q22.values(m))
+    q11v, q12v, q22v = strip_values_stack([bundle.q11, bundle.q12, bundle.q22], m)
+    return q11v, q12v, q22v
 
 
 def _rms(x: np.ndarray) -> float:
@@ -209,12 +222,9 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     g1 = g2 = None
     converged = False
     for _ in range(max_iter):
-        u1 = (phi1 + phi2).dx()
-        u2 = dz1 + dz2
-        u1v = u1.values(m)
-        u2v = u2.values(m)
-        g1 = strip_project(grid, -(q11v * u1v + q12v * u2v))
-        g2 = strip_project(grid, -(q12v * u1v + q22v * u2v))
+        u1v, u2v = strip_values_stack([(phi1 + phi2).dx(), dz1 + dz2], m)
+        g1, g2 = strip_project_stack(grid, np.array([-(q11v * u1v + q12v * u2v),
+                                                     -(q12v * u1v + q22v * u2v)]))
         sol = poisson_divform(g1, g2)
         last_inc_field = sol.phi - phi2
         inc = strip_norm(last_inc_field, NormSpec(0.0, 0.0, 0))
@@ -247,6 +257,25 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
                             residual=residual, increments=tuple(increments))
 
 
+def gradient_norm(phi1: StripField, phi2: StripField, dzphi2: StripField,
+                  s: float = 2.5) -> float:
+    """Proxy for ‖∇φ‖_s², φ = φ₁ + φ₂: Σ_n (1+|n|)^{2s} ∫ (|∂₁φ̂|² + |∂₂φ̂|²) dx₂.
+
+    Fractional regularity is charged entirely to the horizontal multiplier
+    (equivalent norm for the harmonic-type fields at hand); quadrature is
+    trapezoid plus the modeled e^{2|n|x₂} tail.
+    """
+    grid = phi1.grid
+    u1 = (phi1 + phi2).dx()
+    u2 = phi1_dz(phi1) + dzphi2
+    dens = np.abs(u1.coeffs) ** 2 + np.abs(u2.coeffs) ** 2
+    per_mode = np.trapezoid(dens, dx=grid.dz, axis=1)
+    decay = 2.0 * np.maximum(np.abs(grid.modes).astype(float), 1.0)
+    per_mode = per_mode + dens[:, 0] / decay
+    w = (1.0 + np.abs(grid.modes).astype(float)) ** (2.0 * s)
+    return float(np.sum(w * per_mode))
+
+
 # ---------------------------------------------------------------------------
 # boundary traces
 
@@ -262,18 +291,14 @@ def second_trace_primary(bundle: GeometryBundle, xi: SpectrumField,
     n_modes = b.n_modes
     mpad = pad_size(n_modes, 4)
 
-    def vals(sf: SpectrumField) -> np.ndarray:
-        return values_on_grid(sf, mpad)
-
-    d1 = vals(dx(b))
-    d2 = vals(lam(b))
-    d12 = vals(dx(lam(b)))
-    d22 = vals(lam(b, 2.0))
-    u1 = vals(dx(xi))
-    u2 = vals(lam(xi)) + vals(dphi2_dz0)
-    du1 = vals(dx(lam(xi) + dphi2_dz0))       # ∂₁(∂₂φ)|₀
-    p1_d2 = vals(lam(xi, 2.0))                # ∂₂²φ₁|₀
-    dg1 = vals(dx(g1.trace()))                # ∂₁g₁|₀
+    d1, d2, d12, d22, u1, lam_xi, dz2, du1, p1_d2, dg1 = values_stack([
+        dx(b), lam(b), dx(lam(b)), lam(b, 2.0),
+        dx(xi), lam(xi), dphi2_dz0,
+        dx(lam(xi) + dphi2_dz0),              # ∂₁(∂₂φ)|₀
+        lam(xi, 2.0),                         # ∂₂²φ₁|₀
+        dx(g1.trace()),                       # ∂₁g₁|₀
+    ], mpad)
+    u2 = lam_xi + dz2
 
     j0 = 1.0 + d2
     q12 = -d1

@@ -33,11 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import EllipticSolution, solve_phi1, solve_phi2
+from .elliptic import EllipticSolution, gradient_norm, solve_phi1, solve_phi2
 from .errors import ConfigurationError
-from .geometry import GeometryBundle, StripGrid, build_geometry
+from .geometry import StripGrid, build_geometry
 from .spectral import (SpectrumField, dx, dxx, lam, mode_numbers, mollify,
-                       pad_size, project, values_on_grid)
+                       pad_size, project, values_stack)
 
 
 @dataclass(frozen=True)
@@ -69,71 +69,47 @@ class StepOptions:
 
 
 @dataclass(frozen=True)
-class EllipticCache:
-    key: bytes
-    bundle: GeometryBundle
-    esol: EllipticSolution
-
-
-@dataclass(frozen=True)
 class SimState:
     h: SpectrumField
     xi: SpectrumField
     t: float
-    cache: EllipticCache | None = None
 
     @property
     def n_modes(self) -> int:
         return self.h.n_modes
 
 
-def state_key(h: SpectrumField, xi: SpectrumField, params: ModelParams) -> bytes:
-    return (h.coeffs.tobytes() + xi.coeffs.tobytes() +
-            np.array([params.epsilon, params.kappa]).tobytes())
-
-
 @dataclass(frozen=True)
 class RhsEval:
     h_t: SpectrumField
     xi_t: SpectrumField
-    cache: EllipticCache
+    solution: EllipticSolution
 
 
 def evaluate_rhs(state: SimState, params: ModelParams, grid: StripGrid,
                  opts: StepOptions = StepOptions()) -> RhsEval:
-    """Full right-hand sides of the boundary system at one state.
-
-    Reuses the state's elliptic cache when it matches, otherwise solves the
-    geometry and Picard problems fresh.
-    """
+    """Full right-hand sides of the boundary system at one state."""
     h, xi = state.h, state.xi
-    key = state_key(h, xi, params)
-    if state.cache is not None and state.cache.key != key:
-        raise RuntimeError("stale elliptic cache attached to state")
-    if state.cache is not None:
-        bundle, esol = state.cache.bundle, state.cache.esol
-    else:
-        hk = mollify(h, params.kappa)
-        xik = mollify(xi, params.kappa)
-        bundle = build_geometry(params.epsilon * hk, grid, margin_min=opts.margin_min)
-        phi1 = solve_phi1(xik, grid)
-        esol = solve_phi2(bundle, phi1, tol=opts.picard_tol,
-                          max_iter=opts.picard_max_iter)
-    cache = EllipticCache(key=key, bundle=bundle, esol=esol)
-
     hk = mollify(h, params.kappa)
     xik = mollify(xi, params.kappa)
+    bundle = build_geometry(params.epsilon * hk, grid, margin_min=opts.margin_min)
+    esol = solve_phi2(bundle, solve_phi1(xik, grid), tol=opts.picard_tol,
+                      max_iter=opts.picard_max_iter)
     b = bundle.boundary                       # = ε h^κ
     n_modes = h.n_modes
     mpad = pad_size(n_modes, 4)
 
-    def vals(sf: SpectrumField) -> np.ndarray:
-        return values_on_grid(sf, mpad)
-
-    xi_x = vals(dx(xik))                      # φ,₁|₀
-    p2 = vals(esol.traces.dphi1_dz0 + esol.traces.dphi2_dz0)   # φ,₂|₀
-    hx = vals(dx(b))                          # δψ,₁|₀
-    w = 1.0 + vals(lam(b))                    # 1 + δψ,₂|₀
+    xi_x, p2, hx, lam_b, lam2xi, t2, lam2b, h2x = values_stack([
+        dx(xik),                              # φ,₁|₀
+        esol.traces.dphi1_dz0 + esol.traces.dphi2_dz0,   # φ,₂|₀
+        dx(b),                                # δψ,₁|₀
+        lam(b),                               # δψ,₂|₀
+        lam(xik, 2.0),                        # ∂₂²φ₁|₀ = Λ²ξ^κ
+        esol.traces.d2phi2_dz0,               # ∂₂²φ₂|₀
+        lam(b, 2.0),                          # δψ,₂₂|₀ = Λ²(εh^κ)
+        dxx(hk),                              # h^κ,₁₁
+    ], mpad)
+    w = 1.0 + lam_b                           # 1 + δψ,₂|₀
     a2phi = p2 / w
     a1phi = xi_x - hx * a2phi
     kin = -hx * a1phi + a2phi                 # A^k_j φ,_k ñ_j
@@ -141,16 +117,12 @@ def evaluate_rhs(state: SimState, params: ModelParams, grid: StripGrid,
     h_t = mollify(project(kin, n_modes), params.kappa) + \
         params.alpha * dxx(mollify(hk, params.kappa))
 
-    lam2xi = vals(lam(xik, 2.0))              # ∂₂²φ₁|₀ = Λ²ξ^κ
-    t2 = vals(esol.traces.d2phi2_dz0)         # ∂₂²φ₂|₀
-    lam2b = vals(lam(b, 2.0))                 # δψ,₂₂|₀ = Λ²(εh^κ)
-    h2x = vals(dxx(hk))                       # h^κ,₁₁
     quad = -0.5 * params.epsilon * (a1phi ** 2 + a2phi ** 2)
     diss = -params.alpha * ((lam2xi + t2) / w ** 2 - lam2b * p2 / w ** 3)
     mixed = params.epsilon * a2phi * (kin + params.alpha * h2x)
     bracket = project(quad + diss + mixed, n_modes) - h
     xi_t = mollify(bracket, params.kappa)
-    return RhsEval(h_t=h_t, xi_t=xi_t, cache=cache)
+    return RhsEval(h_t=h_t, xi_t=xi_t, solution=esol)
 
 
 def rhs_interface(state: SimState, params: ModelParams, grid: StripGrid,
@@ -204,7 +176,7 @@ def linear_rhs_arrays(u: np.ndarray, modes: np.ndarray, alpha: float,
                       kappa: float = 0.0) -> np.ndarray:
     """M·u for the stacked state u = (ξ̂, ĥ)."""
     a, b, c = _linear_factors(modes, alpha, kappa)
-    return np.stack([-a * u[0] - c * u[1], b * u[0] - a * u[1]])
+    return np.array([-a * u[0] - c * u[1], b * u[0] - a * u[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +186,11 @@ def linear_rhs_arrays(u: np.ndarray, modes: np.ndarray, alpha: float,
 class StepInfo:
     mean_drift: float
     picard_iters: int
+    bulk_gradient: float | None = None   # gradient_norm at the input state
 
 
 def _pack(state: SimState) -> np.ndarray:
-    return np.stack([state.xi.coeffs, state.h.coeffs])
+    return np.array([state.xi.coeffs, state.h.coeffs])
 
 
 def _unpack(u: np.ndarray, t: float) -> SimState:
@@ -226,15 +199,18 @@ def _unpack(u: np.ndarray, t: float) -> SimState:
 
 def _apply(p, u: np.ndarray) -> np.ndarray:
     p11, p12, p21, p22 = p
-    return np.stack([p11 * u[0] + p12 * u[1], p21 * u[0] + p22 * u[1]])
+    return np.array([p11 * u[0] + p12 * u[1], p21 * u[0] + p22 * u[1]])
 
 
 def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
-         opts: StepOptions = StepOptions()) -> tuple[SimState, StepInfo]:
+         opts: StepOptions = StepOptions(),
+         record: bool = False) -> tuple[SimState, StepInfo]:
     """One Lawson–Heun step: u¹ = P u⁰ + (dt/2)(P N(u⁰) + N(P(u⁰ + dt N(u⁰)))).
 
     Exact (to round-off) for the pure linear system; the interface mean is
-    re-projected to zero afterwards, recording the drift removed.
+    re-projected to zero afterwards, recording the drift removed.  With
+    record set, the info carries gradient_norm of the elliptic solution the
+    step made at the input state (None when linear_only solves none).
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
@@ -242,30 +218,44 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
     p = propagator_entries(modes, params.alpha, dt, params.kappa)
     u0 = _pack(state)
     iters = 0
+    bulk = None
 
     if opts.linear_only:
         u1 = _apply(p, u0)
     else:
         r0 = evaluate_rhs(state, params, grid, opts)
-        iters = max(iters, r0.cache.esol.picard_iters)
-        k1 = np.stack([r0.xi_t.coeffs, r0.h_t.coeffs]) - \
+        iters = max(iters, r0.solution.picard_iters)
+        if record:
+            bulk = gradient_norm(r0.solution.phi1, r0.solution.phi2,
+                                 r0.solution.dzphi2)
+        k1 = np.array([r0.xi_t.coeffs, r0.h_t.coeffs]) - \
             linear_rhs_arrays(u0, modes, params.alpha, params.kappa)
+        del r0                                # freed before the second solve
         u_pred = _apply(p, u0 + dt * k1)
         pred = _unpack(u_pred, state.t + dt)
         r1 = evaluate_rhs(pred, params, grid, opts)
-        iters = max(iters, r1.cache.esol.picard_iters)
-        k2 = np.stack([r1.xi_t.coeffs, r1.h_t.coeffs]) - \
+        iters = max(iters, r1.solution.picard_iters)
+        k2 = np.array([r1.xi_t.coeffs, r1.h_t.coeffs]) - \
             linear_rhs_arrays(u_pred, modes, params.alpha, params.kappa)
         u1 = _apply(p, u0) + 0.5 * dt * (_apply(p, k1) + k2)
 
     drift = abs(u1[1][0])
     u1[1][0] = 0.0
     return _unpack(u1, state.t + dt), StepInfo(mean_drift=float(drift),
-                                               picard_iters=iters)
+                                               picard_iters=iters,
+                                               bulk_gradient=bulk)
 
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Recorded states of a run and what the run knew about them.
+
+    opts are the step options the run used (None: StepOptions.for_dt(dt)).
+    bulk holds, per recorded state, the elliptic gradient_norm the stepper
+    took from its own solve at that state, or None where no step solved it
+    (the final state, linear_only runs); empty for hand-built trajectories.
+    """
+
     states: tuple[SimState, ...]
     params: ModelParams
     grid: StripGrid
@@ -273,10 +263,16 @@ class Trajectory:
     record_every: int
     max_mean_drift: float
     max_picard_iters: int
+    opts: StepOptions | None = None
+    bulk: tuple[float | None, ...] = ()
 
     @property
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.states])
+
+    @property
+    def step_options(self) -> StepOptions:
+        return self.opts if self.opts is not None else StepOptions.for_dt(self.dt)
 
 
 def run(h0: SpectrumField, xi0: SpectrumField, params: ModelParams,
@@ -291,15 +287,21 @@ def run(h0: SpectrumField, xi0: SpectrumField, params: ModelParams,
         opts = StepOptions.for_dt(dt)
     state = SimState(h=h0, xi=xi0, t=0.0)
     records = [state]
+    bulk: list[float | None] = [None]
     n_steps = int(round(t_final / dt)) if t_final > 0 else 0
     max_drift = 0.0
     max_iters = 0
     for i in range(n_steps):
-        state, info = step(state, params, grid, dt, opts)
+        # the state entering step i was recorded exactly when i % record_every == 0
+        state, info = step(state, params, grid, dt, opts,
+                           record=i % record_every == 0)
+        if info.bulk_gradient is not None:
+            bulk[-1] = info.bulk_gradient
         max_drift = max(max_drift, info.mean_drift)
         max_iters = max(max_iters, info.picard_iters)
         if (i + 1) % record_every == 0 or i == n_steps - 1:
             records.append(state)
+            bulk.append(None)
     return Trajectory(states=tuple(records), params=params, grid=grid, dt=dt,
                       record_every=record_every, max_mean_drift=max_drift,
-                      max_picard_iters=max_iters)
+                      max_picard_iters=max_iters, opts=opts, bulk=tuple(bulk))

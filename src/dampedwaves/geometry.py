@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,8 +44,8 @@ class StripGrid:
 
     @property
     def z(self) -> np.ndarray:
-        """Depth nodes from −L_d up to 0 (boundary last)."""
-        return np.linspace(-self.depth, 0.0, self.n_depth)
+        """Depth nodes from −L_d up to 0 (boundary last; shared, read-only)."""
+        return _depth_nodes(self.depth, self.n_depth)
 
     @property
     def dz(self) -> float:
@@ -92,7 +92,7 @@ class StripField:
     def values(self, m: int | None = None) -> np.ndarray:
         """Physical samples, shape (m, n_depth)."""
         m = self.grid.n_modes if m is None else m
-        return np.real(np.fft.ifft(_pad_coeffs(self.coeffs.T, m), axis=1).T * m)
+        return strip_values_stack([self], m)[0]
 
     def __add__(self, other: "StripField") -> "StripField":
         return StripField(self.grid, self.coeffs + other.coeffs)
@@ -109,15 +109,36 @@ class StripField:
         return StripField(self.grid, -self.coeffs)
 
 
+@lru_cache(maxsize=None)
+def _depth_nodes(depth: float, n_depth: int) -> np.ndarray:
+    z = np.linspace(-depth, 0.0, n_depth)
+    z.setflags(write=False)
+    return z
+
+
 def zero_strip(grid: StripGrid) -> StripField:
     return StripField(grid, np.zeros((grid.n_modes, grid.n_depth), dtype=np.complex128))
 
 
 def strip_project(grid: StripGrid, samples: np.ndarray) -> StripField:
     """Project physical samples (m, n_depth) back onto the grid's modes."""
-    m = samples.shape[0]
-    c = np.fft.fft(samples.T, axis=1).T / m
-    return StripField(grid, _truncate_coeffs(c.T, grid.n_modes).T)
+    return strip_project_stack(grid, samples[None])[0]
+
+
+def strip_values_stack(fields: Sequence[StripField], m: int) -> np.ndarray:
+    """Samples of several fields, shape (len(fields), m, n_depth).
+
+    One batched inverse transform; entry i equals fields[i].values(m).
+    """
+    c = np.array([f.coeffs for f in fields]).transpose(0, 2, 1)
+    return np.real(np.fft.ifft(_pad_coeffs(c, m), axis=-1).transpose(0, 2, 1) * m)
+
+
+def strip_project_stack(grid: StripGrid, samples: np.ndarray) -> list[StripField]:
+    """strip_project of each samples[i] (shape (k, m, n_depth)), one transform."""
+    c = np.fft.fft(samples, axis=1) / samples.shape[1]
+    c = _truncate_coeffs(c.transpose(0, 2, 1), grid.n_modes).transpose(0, 2, 1)
+    return [StripField(grid, ci) for ci in c]
 
 
 def strip_pointwise(grid: StripGrid,
@@ -202,12 +223,19 @@ def fd_derivative(values: np.ndarray, dz: float, deriv: int, acc: int = 4) -> np
 # ---------------------------------------------------------------------------
 # harmonic extension and geometry
 
+@lru_cache(maxsize=16)
+def extension_profile(grid: StripGrid) -> np.ndarray:
+    """e^{|n|x₂}, shape (n_modes, n_depth) (shared, read-only)."""
+    prof = np.exp(np.abs(grid.modes.astype(float))[:, None] * grid.z[None, :])
+    prof.setflags(write=False)
+    return prof
+
+
 def harmonic_extension(h: SpectrumField, grid: StripGrid) -> StripField:
     """Solution of Δδψ = 0 on the strip with trace h: δψ̂(n,x₂) = e^{|n|x₂}ĥ(n)."""
     if h.n_modes != grid.n_modes:
         raise ConfigurationError("interface and grid mode counts differ")
-    prof = np.exp(np.abs(grid.modes.astype(float))[:, None] * grid.z[None, :])
-    return StripField(grid, prof * h.coeffs[:, None])
+    return StripField(grid, extension_profile(grid) * h.coeffs[:, None])
 
 
 def extension_derivative(h: SpectrumField, grid: StripGrid,
@@ -215,8 +243,7 @@ def extension_derivative(h: SpectrumField, grid: StripGrid,
     """∂₁^a ∂₂^b of the harmonic extension, by the analytic multipliers."""
     n = grid.modes.astype(float)
     sym = (1j * n) ** dx_order * np.abs(n) ** dz_order
-    prof = np.exp(np.abs(n)[:, None] * grid.z[None, :])
-    return StripField(grid, sym[:, None] * prof * h.coeffs[:, None])
+    return StripField(grid, sym[:, None] * extension_profile(grid) * h.coeffs[:, None])
 
 
 @dataclass(frozen=True)
@@ -258,8 +285,7 @@ def build_geometry(h: SpectrumField, grid: StripGrid,
     dpsi2 = extension_derivative(h, grid, dz_order=1)
 
     m = max(pad_size(grid.n_modes, 2), 2 * grid.n_modes)
-    d1 = dpsi1.values(m)
-    d2 = dpsi2.values(m)
+    d1, d2 = strip_values_stack([dpsi1, dpsi2], m)
     j = 1.0 + d2
     margin = float(np.min(j))
     if margin <= margin_min:
@@ -267,9 +293,8 @@ def build_geometry(h: SpectrumField, grid: StripGrid,
             f"not a diffeomorphism at this amplitude: min J = {margin:.4f} "
             f"<= margin_min = {margin_min:g}")
 
-    a22 = strip_project(grid, 1.0 / j)
-    a21 = strip_project(grid, -d1 / j)
-    q22 = strip_project(grid, (d1 * d1 - d2) / j)
+    a22, a21, q22 = strip_project_stack(
+        grid, np.array([1.0 / j, -d1 / j, (d1 * d1 - d2) / j]))
     return GeometryBundle(
         grid=grid, boundary=h, delta_psi=delta_psi,
         dpsi1=dpsi1, dpsi2=dpsi2, a21=a21, a22=a22,

@@ -16,7 +16,8 @@ true product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,9 +32,12 @@ def _check_n_modes(n_modes: int) -> None:
             f"n_modes must be even and >= 4, got {n_modes}")
 
 
+@lru_cache(maxsize=None)
 def mode_numbers(n_modes: int) -> np.ndarray:
-    """Signed integer mode numbers in numpy FFT order."""
-    return np.fft.fftfreq(n_modes, d=1.0 / n_modes).astype(int)
+    """Signed integer mode numbers in numpy FFT order (shared, read-only)."""
+    n = np.fft.fftfreq(n_modes, d=1.0 / n_modes).astype(int)
+    n.setflags(write=False)
+    return n
 
 
 @dataclass(frozen=True)
@@ -163,7 +167,16 @@ def pad_size(n_modes: int, order: int = 2) -> int:
 def values_on_grid(f: SpectrumField, m: int | None = None) -> np.ndarray:
     """Real samples of f on an m-point uniform grid (default: its own grid)."""
     m = f.n_modes if m is None else m
-    return np.real(np.fft.ifft(_pad_coeffs(f.coeffs, m)) * m)
+    return values_stack([f], m)[0]
+
+
+def values_stack(fields: Sequence[SpectrumField], m: int) -> np.ndarray:
+    """Samples of equal-size fields on one m-point grid, shape (len(fields), m).
+
+    One batched inverse transform; row i equals values_on_grid(fields[i], m).
+    """
+    c = np.array([f.coeffs for f in fields])
+    return np.real(np.fft.ifft(_pad_coeffs(c, m), axis=-1) * m)
 
 
 def inverse(f: SpectrumField) -> np.ndarray:
@@ -177,34 +190,59 @@ def project(samples: np.ndarray, n_modes: int) -> SpectrumField:
     return SpectrumField(_truncate_coeffs(c, n_modes))
 
 
+def _symbol_values(symbol: Callable[[np.ndarray], np.ndarray],
+                   modes: np.ndarray) -> np.ndarray:
+    m = np.asarray(symbol(modes), dtype=np.complex128)
+    if not np.all(np.isfinite(m)):
+        bad = modes[~np.isfinite(m)]
+        raise NumericsError(f"multiplier not finite at mode(s) {bad[:5].tolist()}")
+    return m
+
+
 def apply_multiplier(f: SpectrumField, symbol: Callable[[np.ndarray], np.ndarray]) -> SpectrumField:
     """coeff_out(n) = symbol(n)·coeff_in(n).
 
     symbol receives the signed integer mode array; it must be finite on every
     represented mode.
     """
-    m = np.asarray(symbol(f.modes), dtype=np.complex128)
-    if not np.all(np.isfinite(m)):
-        bad = f.modes[~np.isfinite(m)]
-        raise NumericsError(f"multiplier not finite at mode(s) {bad[:5].tolist()}")
-    return SpectrumField(m * f.coeffs)
+    return SpectrumField(_symbol_values(symbol, f.modes) * f.coeffs)
+
+
+# symbols of the fixed multipliers below, as functions of (modes, parameter)
+_SYMBOLS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
+    "lam": lambda n, r: (np.abs(n).astype(float) if r == 1.0
+                         else np.power(np.abs(n).astype(float), r)),
+    "dx": lambda n, _: 1j * n,
+    "dxx": lambda n, _: -(n.astype(float) ** 2),
+    "mollify": lambda n, kappa: np.exp(-kappa * n.astype(float) ** 2),
+}
+
+
+@lru_cache(maxsize=256)
+def _fixed_symbol(kind: str, n_modes: int, param: float) -> np.ndarray:
+    """Checked symbol of a fixed multiplier, built once per (kind, N, param)."""
+    m = _symbol_values(lambda n: _SYMBOLS[kind](n, param), mode_numbers(n_modes))
+    m.setflags(write=False)
+    return m
+
+
+def _apply_fixed(f: SpectrumField, kind: str, param: float = 0.0) -> SpectrumField:
+    return SpectrumField(_fixed_symbol(kind, f.n_modes, param) * f.coeffs)
 
 
 def lam(f: SpectrumField, power: float = 1.0) -> SpectrumField:
     """Calderon operator Λ^r, the multiplier |n|^r (with 0^r = 0 for r > 0)."""
-    if power == 1.0:
-        return apply_multiplier(f, lambda n: np.abs(n).astype(float))
-    return apply_multiplier(f, lambda n: np.power(np.abs(n).astype(float), power))
+    return _apply_fixed(f, "lam", power)
 
 
 def dx(f: SpectrumField) -> SpectrumField:
     """Tangential derivative ∂₁, multiplier in."""
-    return apply_multiplier(f, lambda n: 1j * n)
+    return _apply_fixed(f, "dx")
 
 
 def dxx(f: SpectrumField) -> SpectrumField:
     """Second tangential derivative ∂₁², multiplier −n²."""
-    return apply_multiplier(f, lambda n: -(n.astype(float) ** 2))
+    return _apply_fixed(f, "dxx")
 
 
 def mollify(f: SpectrumField, kappa: float) -> SpectrumField:
@@ -213,7 +251,7 @@ def mollify(f: SpectrumField, kappa: float) -> SpectrumField:
         raise ConfigurationError(f"mollification strength must be >= 0, got {kappa}")
     if kappa == 0.0:
         return f
-    return apply_multiplier(f, lambda n: np.exp(-kappa * n.astype(float) ** 2))
+    return _apply_fixed(f, "mollify", kappa)
 
 
 def pointwise_product(f: SpectrumField, g: SpectrumField) -> SpectrumField:

@@ -189,6 +189,41 @@ preset = zero
             vals = row.split(",")
             assert float(vals[1]) == 0.0 and float(vals[7]) == 0.0
 
+    @pytest.mark.parametrize("h_modes, margin", [("1:0.5", 0.1), ("1:0.95", 0.01)])
+    def test_linear_only_run_solves_no_elliptic_problem(self, tmp_path, monkeypatch,
+                                                        h_modes, margin):
+        # records of linear runs used to solve the nonlinear problem and exit 3
+        # (Picard stall at 0.5, min J = 0.05 against a fixed 0.1 margin at 0.95)
+        monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
+        text = f"""
+[model]
+alpha = 3.0
+
+[grid]
+n_modes = 16
+n_depth = 64
+
+[time]
+dt = 1e-2
+t_final = 0.05
+
+[initial]
+preset = explicit
+h_modes = {h_modes}
+
+[numerics]
+linear_only = true
+margin_min = {margin}
+
+[output]
+record_every = 1
+"""
+        p = tmp_path / "linear.ini"
+        p.write_text(text)
+        out = tmp_path / "lin"
+        assert run_cli("run", "--config", str(p), "--output-dir", str(out)) == 0
+        assert len((out / "series.csv").read_text().splitlines()) == 2 + 6
+
     def test_linear_validate(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
         out = tmp_path / "lv"

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dampedwaves import diagnostics as dg
+from dampedwaves import elliptic as el
 from dampedwaves import evolution as ev
 from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
-from dampedwaves.errors import ConfigurationError
+from dampedwaves.errors import ConfigurationError, DiffeomorphismError
 
 
 def synthetic_exponential_spectrum(rho, n_modes=64, max_mode=20):
@@ -169,6 +172,79 @@ class TestEnergyAndRecords:
         gain2 = recs[2].energy - recs[1].energy
         assert gain1 == pytest.approx(gain2, rel=1e-9)
         assert recs[0].sobolev_h3 == recs[1].sobolev_h3
+
+
+class TestRecordSolves:
+    """Records reuse the stepper's elliptic solves and honour its options."""
+
+    grid = geo.StripGrid(16, depth=8.0, n_depth=64)
+    params = ev.ModelParams(alpha=1.0)
+    h0 = sp.cosine(1, 0.05, 16) + sp.cosine(2, 0.02, 16)
+    xi0 = sp.sine(1, 0.05, 16)
+
+    def counted_solves(self, monkeypatch) -> list:
+        calls = []
+        for site in (ev, dg):
+            def counted(*args, _solve=site.solve_phi2, **kwargs):
+                calls.append(1)
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(site, "solve_phi2", counted)
+        return calls
+
+    @pytest.mark.parametrize("n_steps, record_every", [(4, 1), (5, 2)])
+    def test_one_solve_per_state(self, monkeypatch, n_steps, record_every):
+        calls = self.counted_solves(monkeypatch)
+        traj = ev.run(self.h0, self.xi0, self.params, self.grid, 1e-2,
+                      n_steps * 1e-2, record_every=record_every)
+        dg.compute_records(traj)
+        assert len(calls) == 2 * n_steps + 1
+        assert traj.bulk[-1] is None
+        assert all(isinstance(b, float) for b in traj.bulk[:-1])
+
+    def test_reused_energy_bit_identical_to_resolve(self):
+        traj = ev.run(self.h0, self.xi0, self.params, self.grid, 1e-2, 0.04,
+                      record_every=1)
+        reused = dg.compute_records(traj)
+        resolved = dg.compute_records(dataclasses.replace(traj, bulk=()))
+        assert [r.energy for r in reused] == [r.energy for r in resolved]
+        opts = traj.step_options
+        for state, b in zip(traj.states, traj.bulk[:-1]):
+            assert b == dg.bulk_gradient_norm(state, self.params, self.grid, opts)
+
+    def test_other_options_resolve_every_state(self, monkeypatch):
+        traj = ev.run(self.h0, self.xi0, self.params, self.grid, 1e-2, 0.03,
+                      record_every=1)
+        calls = self.counted_solves(monkeypatch)
+        dg.compute_records(traj, opts=ev.StepOptions(picard_tol=1e-12))
+        assert len(calls) == len(traj.states)
+
+    def test_records_honour_run_margin(self):
+        # min J = 1 - 0.33 = 0.67; xi = 0 keeps the Picard problem trivial
+        st = ev.SimState(h=sp.cosine(1, 0.33, 16), xi=sp.zero_field(16), t=0.0)
+        st2 = dataclasses.replace(st, t=0.1)
+        traj = ev.Trajectory(states=(st, st2), params=self.params, grid=self.grid,
+                             dt=0.1, record_every=1, max_mean_drift=0.0,
+                             max_picard_iters=1, opts=ev.StepOptions(margin_min=0.7))
+        with pytest.raises(DiffeomorphismError, match="margin_min = 0.7"):
+            dg.compute_records(traj)
+        assert len(dg.compute_records(traj, opts=ev.StepOptions())) == 2
+
+    def test_linear_only_records_flat_strip(self, monkeypatch):
+        opts = ev.StepOptions(linear_only=True)
+        traj = ev.run(sp.cosine(1, 0.5, 16), sp.zero_field(16), self.params,
+                      self.grid, 1e-2, 0.05, record_every=1, opts=opts)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("linear_only records solved a nonlinear problem")
+        for name in ("build_geometry", "solve_phi2"):
+            monkeypatch.setattr(dg, name, unexpected)
+        recs = dg.compute_records(traj)
+        st = traj.states[-1]
+        phi1 = geo.harmonic_extension(st.xi, self.grid)
+        zero = geo.zero_strip(self.grid)
+        assert dg.bulk_gradient_norm(st, self.params, self.grid, opts) == \
+            el.gradient_norm(phi1, zero, zero)
+        assert np.all(np.isfinite([r.energy for r in recs]))
 
 
 class TestSmallnessMonitor:

@@ -139,16 +139,6 @@ class TestRhs:
         assert diffs[0] / diffs[1] == pytest.approx(2.0, rel=0.15)
         assert diffs[1] / diffs[2] == pytest.approx(2.0, rel=0.15)
 
-    def test_stale_cache_rejected(self):
-        grid = small_grid()
-        st = ev.SimState(h=sp.cosine(1, 0.01, 32), xi=sp.sine(1, 0.01, 32), t=0.0)
-        params = ev.ModelParams(alpha=1.0)
-        r = ev.evaluate_rhs(st, params, grid)
-        tampered = ev.SimState(h=sp.cosine(1, 0.02, 32), xi=st.xi, t=0.0,
-                               cache=r.cache)
-        with pytest.raises(RuntimeError, match="stale"):
-            ev.evaluate_rhs(tampered, params, grid)
-
 
 class TestStep:
     def test_linear_only_matches_propagator(self):
