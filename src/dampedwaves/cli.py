@@ -9,6 +9,7 @@ directory may be overridden with the DAMPEDWAVES_OUTDIR environment variable.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -244,7 +245,30 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# glibc mallopt parameters and the values main sets.  A 64 × 192 complex strip
+# array is 196 KB, above glibc's default 128 KiB mmap threshold (which glibc
+# raises only once it sees such blocks freed), so without these settings
+# whether a step's temporaries are mmapped and faulted in afresh, and whether
+# freed heap tops go back to the kernel, depends on incidental allocation
+# order: up to about 3,500 minor page faults per step.  Both settings are
+# needed to keep the temporaries on a heap reused from step to step.
+_M_TRIM_THRESHOLD, _TRIM_BYTES = -1, 1 << 30
+_M_MMAP_THRESHOLD, _MMAP_BYTES = -3, 32 << 20     # glibc's maximum on 64-bit
+
+
+def _keep_temporaries_on_heap() -> None:
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+    except OSError:                  # not glibc: leave the allocator alone
+        return
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+    libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_temporaries_on_heap()
     args = build_parser().parse_args(argv)
     return args.func(args)
 

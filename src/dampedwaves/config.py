@@ -42,7 +42,7 @@ class RunConfig:
     amplitude: float = 0.01
     h_modes: tuple[tuple[int, float, float], ...] = ()
     xi_modes: tuple[tuple[int, float, float], ...] = ()
-    picard_tol: float | None = None       # None: min(1e-10, dt^3)
+    picard_tol: float | None = None       # None: StepOptions.for_dt(dt)
     picard_max_iter: int = 25
     margin_min: float = 0.1
     linear_only: bool = False
@@ -77,9 +77,11 @@ class RunConfig:
 
     @property
     def step_options(self) -> StepOptions:
-        tol = self.picard_tol if self.picard_tol is not None else min(1e-10, self.dt ** 3)
-        return StepOptions(picard_tol=tol, picard_max_iter=self.picard_max_iter,
-                           margin_min=self.margin_min, linear_only=self.linear_only)
+        kw = dict(picard_max_iter=self.picard_max_iter, margin_min=self.margin_min,
+                  linear_only=self.linear_only)
+        if self.picard_tol is None:
+            return StepOptions.for_dt(self.dt, **kw)
+        return StepOptions(picard_tol=self.picard_tol, **kw)
 
 
 def _parse_mode_list(text: str, line: int) -> tuple[tuple[int, float, float], ...]:

@@ -38,14 +38,11 @@ from .spectral import (SpectrumField, dx, lam, pad_size, project,
 
 
 def solve_phi1(xi: SpectrumField, grid: StripGrid) -> StripField:
-    """Linear part φ₁ = e^{x₂Λ}ξ (flat-domain harmonic extension of ξ)."""
+    """Linear part φ₁ = e^{x₂Λ}ξ (flat-domain harmonic extension of ξ).
+
+    Its vertical derivatives ∂₂ʲφ₁ are φ₁.lam(j).
+    """
     return harmonic_extension(xi, grid)
-
-
-def phi1_dz(phi1: StripField, order: int = 1) -> StripField:
-    """Vertical derivatives of the extension, multiplier |n| per order."""
-    sym = np.abs(phi1.grid.modes).astype(float) ** order
-    return StripField(phi1.grid, sym[:, None] * phi1.coeffs)
 
 
 def _product_trapezoid_weights(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,11 +177,6 @@ class EllipticSolution:
     increments: tuple[float, ...] = field(default=())
 
 
-def _q_values(bundle: GeometryBundle, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    q11v, q12v, q22v = strip_values_stack([bundle.q11, bundle.q12, bundle.q22], m)
-    return q11v, q12v, q22v
-
-
 def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(x) ** 2)))
 
@@ -211,8 +203,8 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     if bundle.diffeo_margin <= 0:
         raise ContractionError("geometry margin is not positive")
     m = pad_size(grid.n_modes, 2)
-    q11v, q12v, q22v = _q_values(bundle, m)
-    dz1 = phi1_dz(phi1)
+    q11v, q12v, q22v = strip_values_stack([bundle.q11, bundle.q12, bundle.q22], m)
+    dz1 = phi1.lam()
 
     phi2 = zero_strip(grid)
     dz2 = zero_strip(grid)
@@ -267,7 +259,7 @@ def gradient_norm(phi1: StripField, phi2: StripField, dzphi2: StripField,
     """
     grid = phi1.grid
     u1 = (phi1 + phi2).dx()
-    u2 = phi1_dz(phi1) + dzphi2
+    u2 = phi1.lam() + dzphi2
     dens = np.abs(u1.coeffs) ** 2 + np.abs(u2.coeffs) ** 2
     per_mode = np.trapezoid(dens, dx=grid.dz, axis=1)
     decay = 2.0 * np.maximum(np.abs(grid.modes).astype(float), 1.0)
@@ -332,8 +324,8 @@ def ale_laplacian_residual(bundle: GeometryBundle, phi1: StripField,
     grid = bundle.grid
     m = pad_size(grid.n_modes, 2)
     u1 = (phi1 + phi2).dx()
-    u2 = phi1_dz(phi1) + dzphi2
-    q11v, q12v, q22v = _q_values(bundle, m)
+    u2 = phi1.lam() + dzphi2
+    q11v, q12v, q22v = strip_values_stack([bundle.q11, bundle.q12, bundle.q22], m)
     u1v, u2v = u1.values(m), u2.values(m)
     f1 = strip_project(grid, q11v * u1v + q12v * u2v)
     f2 = strip_project(grid, q12v * u1v + q22v * u2v)

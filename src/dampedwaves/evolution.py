@@ -125,16 +125,6 @@ def evaluate_rhs(state: SimState, params: ModelParams, grid: StripGrid,
     return RhsEval(h_t=h_t, xi_t=xi_t, solution=esol)
 
 
-def rhs_interface(state: SimState, params: ModelParams, grid: StripGrid,
-                  opts: StepOptions = StepOptions()) -> SpectrumField:
-    return evaluate_rhs(state, params, grid, opts).h_t
-
-
-def rhs_potential(state: SimState, params: ModelParams, grid: StripGrid,
-                  opts: StepOptions = StepOptions()) -> SpectrumField:
-    return evaluate_rhs(state, params, grid, opts).xi_t
-
-
 # ---------------------------------------------------------------------------
 # exact linear propagator
 

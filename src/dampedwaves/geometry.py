@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DiffeomorphismError
-from .spectral import (SpectrumField, _pad_coeffs, _truncate_coeffs,
-                       mode_numbers, pad_size)
+from .spectral import (SpectrumField, _check_n_modes, _pad_coeffs,
+                       _truncate_coeffs, mode_numbers)
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,7 @@ class StripGrid:
     n_depth: int = 257
 
     def __post_init__(self):
-        if self.n_modes < 4 or self.n_modes % 2 != 0:
-            raise ConfigurationError(f"n_modes must be even >= 4, got {self.n_modes}")
+        _check_n_modes(self.n_modes)
         if self.depth <= 0:
             raise ConfigurationError(f"depth must be positive, got {self.depth}")
         if self.n_depth < 8:
@@ -82,6 +81,12 @@ class StripField:
 
     def dx(self, order: int = 1) -> "StripField":
         sym = (1j * self.grid.modes.astype(float)) ** order
+        return StripField(self.grid, sym[:, None] * self.coeffs)
+
+    def lam(self, r: float = 1.0) -> "StripField":
+        """Λʳ at every depth node, the multiplier |n|ʳ; on a harmonic
+        extension e^{x₂Λ}v this is the vertical derivative ∂₂ʳ (integer r)."""
+        sym = np.abs(self.grid.modes).astype(float) ** r
         return StripField(self.grid, sym[:, None] * self.coeffs)
 
     def deriv_z(self, order: int = 1, acc: int = 4) -> "StripField":
@@ -139,22 +144,6 @@ def strip_project_stack(grid: StripGrid, samples: np.ndarray) -> list[StripField
     c = np.fft.fft(samples, axis=1) / samples.shape[1]
     c = _truncate_coeffs(c.transpose(0, 2, 1), grid.n_modes).transpose(0, 2, 1)
     return [StripField(grid, ci) for ci in c]
-
-
-def strip_pointwise(grid: StripGrid,
-                    func: Callable[..., np.ndarray],
-                    *fields: StripField,
-                    pad_factor: float = 2.0) -> StripField:
-    """Pointwise evaluation of func over padded physical samples of fields."""
-    m = max(pad_size(grid.n_modes, 2),
-            int(np.ceil(pad_factor * grid.n_modes / 2)) * 2)
-    return strip_project(grid, func(*[f.values(m) for f in fields]))
-
-
-def strip_product(u: StripField, v: StripField) -> StripField:
-    """Dealiased pointwise product of strip fields."""
-    m = pad_size(u.grid.n_modes, order=2)
-    return strip_project(u.grid, u.values(m) * v.values(m))
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +220,25 @@ def extension_profile(grid: StripGrid) -> np.ndarray:
     return prof
 
 
-def harmonic_extension(h: SpectrumField, grid: StripGrid) -> StripField:
-    """Solution of Δδψ = 0 on the strip with trace h: δψ̂(n,x₂) = e^{|n|x₂}ĥ(n)."""
+def harmonic_extension(h: SpectrumField, grid: StripGrid,
+                       dx_order: int = 0, dz_order: int = 0) -> StripField:
+    """∂₁^a ∂₂^b of the solution of Δδψ = 0 on the strip with trace h.
+
+    δψ̂(n,x₂) = e^{|n|x₂}ĥ(n); the derivatives are the analytic multipliers
+    (in)^a |n|^b.
+    """
     if h.n_modes != grid.n_modes:
         raise ConfigurationError("interface and grid mode counts differ")
-    return StripField(grid, extension_profile(grid) * h.coeffs[:, None])
-
-
-def extension_derivative(h: SpectrumField, grid: StripGrid,
-                         dx_order: int = 0, dz_order: int = 0) -> StripField:
-    """∂₁^a ∂₂^b of the harmonic extension, by the analytic multipliers."""
-    n = grid.modes.astype(float)
-    sym = (1j * n) ** dx_order * np.abs(n) ** dz_order
-    return StripField(grid, sym[:, None] * extension_profile(grid) * h.coeffs[:, None])
+    prof = extension_profile(grid)
+    if dx_order or dz_order:
+        n = grid.modes.astype(float)
+        prof = ((1j * n) ** dx_order * np.abs(n) ** dz_order)[:, None] * prof
+    return StripField(grid, prof * h.coeffs[:, None])
 
 
 @dataclass(frozen=True)
 class GeometryBundle:
-    """δψ and the tensors J, A, Q = JAAᵀ − Id derived from one interface.
+    """δψ's derivatives and the tensors J, A, Q = JAAᵀ − Id of one interface.
 
     A¹₁ ≡ 1 and A¹₂ ≡ 0 are not materialized.  diffeo_margin is the minimum
     of J over the padded sampling grid; admissible states keep it positive.
@@ -256,7 +246,6 @@ class GeometryBundle:
 
     grid: StripGrid
     boundary: SpectrumField          # the trace the flattening was built from
-    delta_psi: StripField
     dpsi1: StripField                # δψ,₁
     dpsi2: StripField                # δψ,₂  (= J − 1, analytic)
     a21: StripField                  # A²₁ = −δψ,₁ / J
@@ -280,11 +269,10 @@ def build_geometry(h: SpectrumField, grid: StripGrid,
     Raises DiffeomorphismError when min(1 + δψ,₂) <= margin_min, mirroring
     the smallness requirement that makes ψ injective.
     """
-    delta_psi = harmonic_extension(h, grid)
-    dpsi1 = extension_derivative(h, grid, dx_order=1)
-    dpsi2 = extension_derivative(h, grid, dz_order=1)
+    dpsi1 = harmonic_extension(h, grid, dx_order=1)
+    dpsi2 = harmonic_extension(h, grid, dz_order=1)
 
-    m = max(pad_size(grid.n_modes, 2), 2 * grid.n_modes)
+    m = 2 * grid.n_modes
     d1, d2 = strip_values_stack([dpsi1, dpsi2], m)
     j = 1.0 + d2
     margin = float(np.min(j))
@@ -296,8 +284,7 @@ def build_geometry(h: SpectrumField, grid: StripGrid,
     a22, a21, q22 = strip_project_stack(
         grid, np.array([1.0 / j, -d1 / j, (d1 * d1 - d2) / j]))
     return GeometryBundle(
-        grid=grid, boundary=h, delta_psi=delta_psi,
-        dpsi1=dpsi1, dpsi2=dpsi2, a21=a21, a22=a22,
+        grid=grid, boundary=h, dpsi1=dpsi1, dpsi2=dpsi2, a21=a21, a22=a22,
         q11=dpsi2, q12=-dpsi1, q22=q22, diffeo_margin=margin)
 
 
@@ -307,7 +294,7 @@ def identity_defect(bundle: GeometryBundle) -> float:
     Row 1 is the identity exactly; row 2 gives the two nontrivial entries
     A²₁ + A²₂ δψ,₁ = 0 and A²₂ (1 + δψ,₂) = 1.
     """
-    m = max(pad_size(bundle.grid.n_modes, 2), 2 * bundle.grid.n_modes)
+    m = 2 * bundle.grid.n_modes
     a21 = bundle.a21.values(m)
     a22 = bundle.a22.values(m)
     d1 = bundle.dpsi1.values(m)

@@ -179,10 +179,6 @@ def values_stack(fields: Sequence[SpectrumField], m: int) -> np.ndarray:
     return np.real(np.fft.ifft(_pad_coeffs(c, m), axis=-1) * m)
 
 
-def inverse(f: SpectrumField) -> np.ndarray:
-    return values_on_grid(f)
-
-
 def project(samples: np.ndarray, n_modes: int) -> SpectrumField:
     """Project physical samples (any even length >= n_modes) onto n_modes."""
     samples = np.asarray(samples, dtype=float)

@@ -1,4 +1,9 @@
 import json
+import os
+import platform
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -256,3 +261,28 @@ record_every = 1
         verdict = json.loads((out / "verdict.json").read_text())
         names = {c["name"] for c in verdict["checks"]}
         assert {"manufactured_error", "manufactured_order", "solver_bounds"} <= names
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator settings are glibc's")
+def test_step_temporaries_stay_on_heap(tmp_path, monkeypatch):
+    # 64 × 192 complex strip arrays (196 KB) lie above glibc's default mmap
+    # threshold; unless cli.main keeps them on the heap, each step can map,
+    # fault in and unmap its temporaries again (about 3,500 faults per step)
+    monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def minor_faults(t_final: str) -> int:
+        cfg = tmp_path / f"heap_{t_final}.ini"
+        cfg.write_text(MINIMAL.replace("t_final = 1.0", f"t_final = {t_final}"))
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        subprocess.run([sys.executable, "-m", "dampedwaves.cli", "run",
+                        "--config", str(cfg), "--output-dir", str(tmp_path / t_final)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    steps = 50
+    per_step = (minor_faults("0.05") - minor_faults("0")) / steps
+    assert per_step <= 200

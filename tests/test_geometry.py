@@ -4,7 +4,7 @@ import pytest
 from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
 from dampedwaves.errors import ConfigurationError, DiffeomorphismError
-from dampedwaves.harness import random_boundary_field
+from dampedwaves.harness import random_boundary_field, random_strip_field
 
 
 def laplacian_residual(field: geo.StripField, acc: int = 4) -> float:
@@ -30,8 +30,16 @@ class TestHarmonicExtension:
     def test_vertical_trace_is_calderon(self):
         grid = geo.StripGrid(32, depth=8.0, n_depth=129)
         h = random_boundary_field(np.random.default_rng(0), 32, 10)
-        d = geo.extension_derivative(h, grid, dz_order=1)
+        d = geo.harmonic_extension(h, grid, dz_order=1)
         assert np.max(np.abs(d.trace().coeffs - sp.lam(h).coeffs)) < 1e-14
+
+    def test_mode_count_checked_on_every_path(self):
+        grid = geo.StripGrid(32, depth=8.0, n_depth=65)
+        h = sp.cosine(1, 0.1, 16)
+        with pytest.raises(ConfigurationError, match="mode counts differ"):
+            geo.harmonic_extension(h, grid)
+        with pytest.raises(ConfigurationError, match="mode counts differ"):
+            geo.harmonic_extension(h, grid, dz_order=1)
 
     def test_laplacian_residual_oracle(self):
         grid = geo.StripGrid(32, depth=8.0, n_depth=513)
@@ -75,7 +83,7 @@ class TestGeometryBundle:
         grid = geo.StripGrid(32, depth=8.0, n_depth=65)
         h = sp.cosine(1, 0.1, 32)
         b = geo.build_geometry(h, grid)
-        d2 = geo.extension_derivative(h, grid, dz_order=1)
+        d2 = geo.harmonic_extension(h, grid, dz_order=1)
         assert np.max(np.abs(b.q11.coeffs - d2.coeffs)) == 0.0
 
     def test_q_symmetric_and_zero_iff_flat(self):
@@ -133,6 +141,12 @@ class TestPiola:
 
 
 class TestStripFieldBasics:
+    @pytest.mark.parametrize("r", [0.0, 1.0, 2.0, 2.5])
+    def test_lam_trace_is_boundary_lam(self, r):
+        grid = geo.StripGrid(16, depth=8.0, n_depth=65)
+        u = random_strip_field(np.random.default_rng(4), grid, max_mode=6)
+        assert np.array_equal(u.lam(r).trace().coeffs, sp.lam(u.trace(), r).coeffs)
+
     def test_shape_validation(self):
         grid = geo.StripGrid(16, depth=8.0, n_depth=65)
         with pytest.raises(ConfigurationError):
