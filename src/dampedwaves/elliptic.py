@@ -33,8 +33,8 @@ from .geometry import (GeometryBundle, StripField, StripGrid, extension_profile,
                        fd_derivative, harmonic_extension, strip_project,
                        strip_project_stack, strip_values_stack, zero_strip)
 from .norms import NormSpec, strip_norm
-from .spectral import (SpectrumField, dx, lam, pad_size, project,
-                       values_stack)
+from .spectral import (SpectrumField, dx, hermitian_fill, lam, pad_size,
+                       project, values_stack)
 
 
 def solve_phi1(xi: SpectrumField, grid: StripGrid) -> StripField:
@@ -67,8 +67,9 @@ def _product_trapezoid_weights(theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 @lru_cache(maxsize=16)
 def _prefix_weights(grid: StripGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w0, w1, e^{−θ}) at θ = |n|·dz, the per-grid constants of the prefix loop."""
-    theta = np.abs(grid.modes).astype(float) * grid.dz
+    """(w0, w1, e^{−θ}) at θ = |n|·dz for the modes 0..N/2−1, the per-grid
+    constants of the prefix loop."""
+    theta = np.abs(grid.modes[:grid.n_modes // 2]).astype(float) * grid.dz
     w0, w1 = _product_trapezoid_weights(theta)
     return w0, w1, np.exp(-theta)
 
@@ -89,16 +90,21 @@ class PoissonSolution:
 
 def poisson_divform(g1: StripField, g2: StripField,
                     tail_tol: float = 1e-6) -> PoissonSolution:
-    """Solve Δφ = ∇·(g₁, g₂) on the truncated strip; see module docstring."""
+    """Solve Δφ = ∇·(g₁, g₂) on the truncated strip; see module docstring.
+
+    g₁ and g₂ must be real fields, i.e. Hermitian in the mode index: the
+    kernels run on the modes 0..N/2−1 only, and φ, ∂₂φ get their negative
+    modes by conjugation (full storage, half-band work).
+    """
     grid = g1.grid
     if g2.grid != grid:
         raise ConfigurationError("g components live on different grids")
-    n = grid.modes
-    absn = np.abs(n).astype(float)
+    half = grid.n_modes // 2
+    n = grid.modes[:half].astype(float)          # 0..N/2−1, so |n| = n
     nz = grid.n_depth
     dz = grid.dz
 
-    f = np.array([g1.coeffs, g2.coeffs])          # (2, N, Nz)
+    f = np.array([g1.coeffs[:half], g2.coeffs[:half]])   # (2, N/2, Nz)
     scale = np.max(np.abs(f))
     tail_defect = float(np.max(np.abs(f[:, :, 0])) / scale) if scale > 0 else 0.0
     if tail_defect > tail_tol:
@@ -114,7 +120,7 @@ def poisson_divform(g1: StripField, g2: StripField,
     # one combined prefix loop: rows 0..1 accumulate upward (A), rows 2..3
     # accumulate the depth-reversed downward integrals (B); depth-major
     # storage makes each step two contiguous ufunc calls on prebuilt row views
-    stacked = np.zeros((nz, 4, f.shape[1]), dtype=np.complex128)
+    stacked = np.zeros((nz, 4, half), dtype=np.complex128)
     stacked[1:, :2] = inc_up.transpose(2, 0, 1)
     stacked[1:, 2:] = inc_dn[:, :, ::-1].transpose(2, 0, 1)
     rows = list(stacked)
@@ -127,14 +133,14 @@ def poisson_divform(g1: StripField, g2: StripField,
     b = stacked[2:, :, ::-1]
 
     j0 = a[:, :, -1]
-    e_prof = extension_profile(grid)
-    isg = 1j * np.sign(n).astype(float)
+    e_prof = extension_profile(grid)[:half]
+    isg = 1j * np.sign(n)
 
     phi = (0.5 * isg[:, None] * (e_prof * j0[0][:, None] - a[0] - b[0])
            - 0.5 * (e_prof * j0[1][:, None] - a[1] + b[1]))
     dzphi = (f[1]
-             + 0.5 * (1j * n.astype(float))[:, None] * (e_prof * j0[0][:, None] + a[0] - b[0])
-             - 0.5 * absn[:, None] * (e_prof * j0[1][:, None] + a[1] + b[1]))
+             + 0.5 * (1j * n)[:, None] * (e_prof * j0[0][:, None] + a[0] - b[0])
+             - 0.5 * n[:, None] * (e_prof * j0[1][:, None] + a[1] + b[1]))
 
     # mode 0: φ'' = ∂₂ĝ₂ integrated directly with φ(0) = 0, φ' → ĝ₂ (decaying)
     g20 = f[1, 0, :]
@@ -149,8 +155,8 @@ def poisson_divform(g1: StripField, g2: StripField,
     phi[0, :] = prim - prim[-1]
     dzphi[0, :] = g20
 
-    return PoissonSolution(phi=StripField(grid, phi),
-                           dzphi=StripField(grid, dzphi),
+    return PoissonSolution(phi=StripField(grid, hermitian_fill(phi, grid.n_modes)),
+                           dzphi=StripField(grid, hermitian_fill(dzphi, grid.n_modes)),
                            flux_flag=flux_flag, tail_defect=tail_defect)
 
 
@@ -173,8 +179,19 @@ class EllipticSolution:
     g2: StripField
     traces: TraceSet
     picard_iters: int
-    residual: float             # discrete-Laplacian defect / rms(∇φ), see solve_phi2
+    last_increment: StripField  # φ₂ minus the previous Picard iterate
     increments: tuple[float, ...] = field(default=())
+
+    @property
+    def residual(self) -> float:
+        """RMS of the discrete Laplacian applied to the final fixed-point
+        increment, normalized by the RMS of ∇φ: the size of the equation
+        defect in the solver's own discretization (computed on read)."""
+        u1 = (self.phi1 + self.phi2).dx()
+        u2 = self.phi1.lam() + self.dzphi2
+        grad_rms = max(_rms(u1.coeffs), _rms(u2.coeffs))
+        defect = _rms(discrete_laplacian(self.last_increment).coeffs)
+        return defect / grad_rms if grad_rms > 0 else 0.0
 
 
 def _rms(x: np.ndarray) -> float:
@@ -194,10 +211,7 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     Stops when the successive-iterate change in the k=0 strip norm falls
     below tol.  Raises ContractionError when the increments stop contracting
     (the amplitude left the smallness regime) or max_iter is exhausted.
-
-    The recorded residual is the RMS of the discrete Laplacian applied to the
-    final fixed-point increment, normalized by the RMS of ∇φ: the size of the
-    equation defect in the solver's own discretization.
+    The final increment is kept for EllipticSolution.residual.
     """
     grid = bundle.grid
     if bundle.diffeo_margin <= 0:
@@ -234,19 +248,14 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
             f"Picard did not reach tol={tol:g} in {max_iter} iterations "
             f"(last increment {increments[-1]:.3e})")
 
-    u1 = (phi1 + phi2).dx()
-    u2 = dz1 + dz2
-    grad_rms = max(_rms(u1.coeffs), _rms(u2.coeffs))
-    defect = _rms(discrete_laplacian(last_inc_field).coeffs)
-    residual = defect / grad_rms if grad_rms > 0 else 0.0
-
     xi = phi1.trace()
     d2trace = second_trace_primary(bundle, xi, sol.dz_trace, g1)
     traces = TraceSet(dphi1_dz0=lam(xi), dphi2_dz0=sol.dz_trace,
                       d2phi2_dz0=d2trace)
     return EllipticSolution(phi1=phi1, phi2=phi2, dzphi2=dz2, g1=g1, g2=g2,
                             traces=traces, picard_iters=len(increments),
-                            residual=residual, increments=tuple(increments))
+                            last_increment=last_inc_field,
+                            increments=tuple(increments))
 
 
 def gradient_norm(phi1: StripField, phi2: StripField, dzphi2: StripField,

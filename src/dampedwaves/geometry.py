@@ -10,7 +10,9 @@ depth grid.  Given an interface b (the boundary trace used for flattening),
 
 Everything is stored mode-wise; vertical derivatives of closed-form
 extensions use the analytic multiplier |n|, finite-difference stencils are
-reserved for residual checks.
+reserved for residual checks.  Strip fields are real, so their columns are
+Hermitian in the mode index: storage keeps all N modes, while transforms
+work on the modes 0..N/2−1 and fill the rest by conjugation.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DiffeomorphismError
-from .spectral import (SpectrumField, _check_n_modes, _pad_coeffs,
-                       _truncate_coeffs, mode_numbers)
+from .spectral import SpectrumField, _check_n_modes, hermitian_fill, mode_numbers
 
 
 @dataclass(frozen=True)
@@ -131,19 +132,24 @@ def strip_project(grid: StripGrid, samples: np.ndarray) -> StripField:
 
 
 def strip_values_stack(fields: Sequence[StripField], m: int) -> np.ndarray:
-    """Samples of several fields, shape (len(fields), m, n_depth).
+    """Samples of several real fields, shape (len(fields), m, n_depth), m >= N.
 
-    One batched inverse transform; entry i equals fields[i].values(m).
+    One batched `irfft` of the modes 0..N/2−1 (the negative modes of a real
+    field are their conjugates); entry i equals fields[i].values(m).
     """
-    c = np.array([f.coeffs for f in fields]).transpose(0, 2, 1)
-    return np.real(np.fft.ifft(_pad_coeffs(c, m), axis=-1).transpose(0, 2, 1) * m)
+    grid = fields[0].grid
+    k = grid.n_modes // 2
+    half = np.zeros((len(fields), grid.n_depth, m // 2 + 1), dtype=np.complex128)
+    for block, f in zip(half, fields):
+        block[:, :k] = f.coeffs[:k].T
+    return np.fft.irfft(half, n=m, axis=-1, norm="forward").transpose(0, 2, 1)
 
 
 def strip_project_stack(grid: StripGrid, samples: np.ndarray) -> list[StripField]:
-    """strip_project of each samples[i] (shape (k, m, n_depth)), one transform."""
-    c = np.fft.fft(samples, axis=1) / samples.shape[1]
-    c = _truncate_coeffs(c.transpose(0, 2, 1), grid.n_modes).transpose(0, 2, 1)
-    return [StripField(grid, ci) for ci in c]
+    """strip_project of each real samples[i] (shape (k, m, n_depth)), one
+    `rfft`; the negative modes are filled by conjugation."""
+    c = np.fft.rfft(samples, axis=1, norm="forward")
+    return [StripField(grid, hermitian_fill(ci, grid.n_modes)) for ci in c]
 
 
 # ---------------------------------------------------------------------------

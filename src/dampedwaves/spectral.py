@@ -5,6 +5,12 @@ v̂(n), n ∈ [−N/2, N/2), in numpy FFT layout.  The Nyquist entry (n = −N/2
 unpaired for even N) is kept at zero so that every multiplier m(n) acts on a
 symmetric mode set and real fields stay real.
 
+Every field is real, so its coefficients are Hermitian: v̂(−n) = conj v̂(n).
+Storage keeps the full layout, but transforms work on the half band: values
+come from the modes 0..N/2−1 by `irfft`, samples go back by `rfft`, and
+`hermitian_fill` writes the negative modes of every result.  Inputs to these
+transforms must therefore be real (Hermitian) fields.
+
 Fourier-multiplier operators (Λ = |n|, ∂₁ = in, heat kernel e^{−κn²}, the
 analytic weight e^{λ|n|}, ...) act diagonally on the coefficients.  Pointwise
 nonlinearities are evaluated on a zero-padded physical grid and projected
@@ -124,37 +130,27 @@ def grid_points(n_modes: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n_modes) / n_modes
 
 
+def hermitian_fill(half: np.ndarray, n_modes: int) -> np.ndarray:
+    """Full FFT-layout coefficients of a real field from its modes 0..N/2−1.
+
+    half holds the modes along axis 0, at least N/2 of them (extra ones are
+    ignored).  The output has N rows: modes 0..N/2−1 as given, a zero Nyquist
+    row, and conj of modes N/2−1..1 in the negative slots.  Every transform
+    and Poisson result gets its negative modes here.
+    """
+    k = n_modes // 2
+    out = np.empty((n_modes,) + half.shape[1:], dtype=np.complex128)
+    out[:k] = half[:k]
+    out[k] = 0.0
+    np.conjugate(half[k - 1:0:-1], out=out[k + 1:])
+    return out
+
+
 def transform(samples: np.ndarray) -> SpectrumField:
     """Forward transform of real samples on the uniform grid."""
     samples = np.asarray(samples, dtype=float)
     _check_n_modes(samples.size)
-    return SpectrumField(np.fft.fft(samples) / samples.size)
-
-
-def _pad_coeffs(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Embed FFT-layout coefficients into a length-m layout (m >= len)."""
-    n = coeffs.shape[-1]
-    if m == n:
-        return coeffs.copy()
-    out_shape = coeffs.shape[:-1] + (m,)
-    out = np.zeros(out_shape, dtype=np.complex128)
-    half = n // 2
-    out[..., :half] = coeffs[..., :half]
-    out[..., m - half:] = coeffs[..., n - half:]
-    return out
-
-
-def _truncate_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
-    m = coeffs.shape[-1]
-    if m == n:
-        return coeffs.copy()
-    out_shape = coeffs.shape[:-1] + (n,)
-    out = np.zeros(out_shape, dtype=np.complex128)
-    half = n // 2
-    out[..., :half] = coeffs[..., :half]
-    out[..., n - half:] = coeffs[..., m - half:]
-    out[..., half] = 0.0
-    return out
+    return project(samples, samples.size)
 
 
 def pad_size(n_modes: int, order: int = 2) -> int:
@@ -171,19 +167,23 @@ def values_on_grid(f: SpectrumField, m: int | None = None) -> np.ndarray:
 
 
 def values_stack(fields: Sequence[SpectrumField], m: int) -> np.ndarray:
-    """Samples of equal-size fields on one m-point grid, shape (len(fields), m).
+    """Samples of equal-size real fields on one m-point grid (m >= N), shape
+    (len(fields), m).
 
-    One batched inverse transform; row i equals values_on_grid(fields[i], m).
+    One batched `irfft` of the modes 0..N/2−1; row i equals
+    values_on_grid(fields[i], m).
     """
-    c = np.array([f.coeffs for f in fields])
-    return np.real(np.fft.ifft(_pad_coeffs(c, m), axis=-1) * m)
+    k = fields[0].n_modes // 2
+    half = np.zeros((len(fields), m // 2 + 1), dtype=np.complex128)
+    for row, f in zip(half, fields):
+        row[:k] = f.coeffs[:k]
+    return np.fft.irfft(half, n=m, axis=-1, norm="forward")
 
 
 def project(samples: np.ndarray, n_modes: int) -> SpectrumField:
-    """Project physical samples (any even length >= n_modes) onto n_modes."""
+    """Project real samples (any even length >= n_modes) onto n_modes."""
     samples = np.asarray(samples, dtype=float)
-    c = np.fft.fft(samples) / samples.size
-    return SpectrumField(_truncate_coeffs(c, n_modes))
+    return SpectrumField(hermitian_fill(np.fft.rfft(samples, norm="forward"), n_modes))
 
 
 def _symbol_values(symbol: Callable[[np.ndarray], np.ndarray],

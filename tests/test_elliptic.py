@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -137,6 +139,23 @@ class TestSolvePhi2:
         assert max(ratios) < 0.5
         assert sol.residual <= 1e-8
 
+    def test_residual_computed_on_read_only(self, monkeypatch):
+        grid = geo.StripGrid(32, depth=8.0, n_depth=129)
+        bundle = geo.build_geometry(sp.cosine(1, 0.05, 32), grid)
+        phi1 = el.solve_phi1(sp.sine(1, 0.05, 32), grid)
+        calls = []
+        laplacian = el.discrete_laplacian
+        monkeypatch.setattr(el, "discrete_laplacian",
+                            lambda u, **kw: calls.append(u) or laplacian(u, **kw))
+        sol = el.solve_phi2(bundle, phi1, tol=1e-12)
+        assert calls == []
+        u1 = (phi1 + sol.phi2).dx()
+        u2 = phi1.lam() + sol.dzphi2
+        grad = max(el._rms(u1.coeffs), el._rms(u2.coeffs))
+        expected = el._rms(laplacian(sol.last_increment).coeffs) / grad
+        assert sol.residual == expected
+        assert len(calls) == 1
+
     def test_fd_residual_oracle(self):
         grid = geo.StripGrid(32, depth=8.0, n_depth=513)
         bundle = geo.build_geometry(sp.cosine(1, 0.05, 32), grid)
@@ -235,3 +254,56 @@ class TestSolverBounds:
     def test_prop_bounds_sample(self):
         rows = elliptic_bound_trials(seed=11, n_samples=25)
         assert all(r.holds for r in rows)
+
+
+def full_band_poisson(g1, g2, tail_tol=1e-6):
+    """poisson_divform over all N modes with a plain prefix loop (reference)."""
+    grid = g1.grid
+    n = grid.modes.astype(float)
+    absn = np.abs(n)
+    dz = grid.dz
+    f = np.array([g1.coeffs, g2.coeffs])
+    scale = np.max(np.abs(f))
+    tail_defect = float(np.max(np.abs(f[:, :, 0])) / scale) if scale > 0 else 0.0
+    w0, w1 = el._product_trapezoid_weights(absn * dz)
+    damp = np.exp(-absn * dz)
+    a = np.zeros_like(f)
+    b = np.zeros_like(f)
+    for j in range(1, grid.n_depth):
+        a[:, :, j] = damp * a[:, :, j - 1] + dz * (w0 * f[:, :, j - 1] + w1 * f[:, :, j])
+    for j in range(grid.n_depth - 2, -1, -1):
+        b[:, :, j] = damp * b[:, :, j + 1] + dz * (w1 * f[:, :, j] + w0 * f[:, :, j + 1])
+    j0 = a[:, :, -1][:, :, None]
+    e = np.exp(absn[:, None] * grid.z[None, :])
+    isg = 1j * np.sign(n)[:, None]
+    phi = 0.5 * isg * (e * j0[0] - a[0] - b[0]) - 0.5 * (e * j0[1] - a[1] + b[1])
+    dzphi = (f[1] + 0.5j * n[:, None] * (e * j0[0] + a[0] - b[0])
+             - 0.5 * absn[:, None] * (e * j0[1] + a[1] + b[1]))
+    g20 = f[1, 0]
+    prim = np.concatenate([[0.0], np.cumsum(dz * (g20[1:] + g20[:-1]) / 2.0)])
+    phi[0] = prim - prim[-1]
+    dzphi[0] = g20
+    phi[grid.n_modes // 2] = dzphi[grid.n_modes // 2] = 0.0
+    flux_flag = bool(scale > 0 and abs(g20[0]) > tail_tol * scale)
+    return phi, dzphi, flux_flag, tail_defect
+
+
+class TestHalfBandPoisson:
+    @pytest.mark.parametrize("n_modes,n_depth,depth", [
+        (16, 65, 8.0), (64, 193, 8.0), (16, 65, 40.0), (64, 193, 40.0)])
+    def test_matches_full_band(self, n_modes, n_depth, depth):
+        grid = geo.StripGrid(n_modes, depth=depth, n_depth=n_depth)
+        rng = np.random.default_rng(n_modes + n_depth)
+        g1 = random_strip_field(rng, grid, n_modes // 2 - 1)
+        g2 = random_strip_field(rng, grid, n_modes // 2 - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sol = el.poisson_divform(g1, g2)
+        phi, dzphi, flux_flag, tail_defect = full_band_poisson(g1, g2)
+        for got, ref in ((sol.phi, phi), (sol.dzphi, dzphi)):
+            assert np.max(np.abs(got.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(np.roll(got.coeffs[::-1], 1, axis=0)
+                                 - np.conj(got.coeffs))) == 0.0
+            assert np.all(got.coeffs[n_modes // 2] == 0.0)
+        assert sol.flux_flag == flux_flag
+        assert sol.tail_defect == pytest.approx(tail_defect, rel=1e-13)

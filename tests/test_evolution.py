@@ -6,6 +6,7 @@ from dampedwaves import evolution as ev
 from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
 from dampedwaves.errors import ConfigurationError
+from dampedwaves.harness import linear_exponential
 
 
 def small_grid(n_modes=32, n_depth=129):
@@ -53,6 +54,17 @@ class TestPropagator:
     def test_rejects_bad_dt(self):
         with pytest.raises(ConfigurationError):
             ev.linear_propagator(1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    @pytest.mark.parametrize("alpha", [0.0, 3.0])
+    def test_harness_oracle_matches_expm(self, k, alpha):
+        # the linear-fidelity reference is written apart from propagator_entries;
+        # entries are O(1), and expm's own error on strongly damped entries is
+        # ~1e-12 relative, so the bound is absolute
+        m = np.array([[-alpha * k ** 2, -1.0], [abs(k), -alpha * k ** 2]])
+        for t in (0.0, 1e-3, 0.1, 0.5, 1.0, 2.5):
+            got = linear_exponential(k, alpha, t)
+            assert np.max(np.abs(got - expm(t * m))) <= 1e-13
 
 
 class TestRhs:

@@ -169,3 +169,50 @@ class TestStripFieldBasics:
             geo.StripGrid(16, depth=-1.0)
         with pytest.raises(ConfigurationError):
             geo.StripGrid(16, n_depth=4)
+
+
+def strip_hermitian_defect(f: geo.StripField) -> float:
+    """Max over depth nodes of |coeff(−n) − conj(coeff(n))|."""
+    c = f.coeffs
+    return float(np.max(np.abs(np.roll(c[::-1], 1, axis=0) - np.conj(c))))
+
+
+class TestHalfBand:
+    """strip_values_stack / strip_project_stack against the full complex FFT."""
+
+    CASES = [(n, m) for n in (8, 64, 128)
+             for m in sorted({n, sp.pad_size(n, 2), 2 * n, sp.pad_size(n, 4)})]
+
+    @pytest.mark.parametrize("n_modes,m", CASES)
+    def test_values_match_full_ifft(self, n_modes, m):
+        grid = geo.StripGrid(n_modes, depth=8.0, n_depth=33)
+        rng = np.random.default_rng(n_modes + m)
+        fields = [random_strip_field(rng, grid, n_modes // 2 - 1) for _ in range(3)]
+        out = geo.strip_values_stack(fields, m)
+        half = n_modes // 2
+        ref = np.empty((3, m, grid.n_depth))
+        for i, f in enumerate(fields):
+            padded = np.zeros((m, grid.n_depth), dtype=np.complex128)
+            padded[:half] = f.coeffs[:half]
+            padded[m - half:] = f.coeffs[half:]
+            ref[i] = np.real(np.fft.ifft(padded, axis=0) * m)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(fields[2].values(m), out[2])
+
+    @pytest.mark.parametrize("n_modes,m", CASES)
+    def test_project_matches_full_fft(self, n_modes, m):
+        grid = geo.StripGrid(n_modes, depth=8.0, n_depth=33)
+        samples = np.random.default_rng(n_modes * m).standard_normal((2, m, grid.n_depth))
+        out = geo.strip_project_stack(grid, samples)
+        half = n_modes // 2
+        for s, f in zip(samples, out):
+            c = np.fft.fft(s, axis=0) / m
+            ref = np.zeros((n_modes, grid.n_depth), dtype=np.complex128)
+            ref[:half] = c[:half]
+            ref[n_modes - half:] = c[m - half:]
+            ref[half] = 0.0
+            assert np.max(np.abs(f.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert strip_hermitian_defect(f) == 0.0
+            assert np.all(f.coeffs[half] == 0.0)
+        assert np.array_equal(geo.strip_project(grid, samples[1]).coeffs, out[1].coeffs)

@@ -7,6 +7,26 @@ from dampedwaves import spectral as sp
 from dampedwaves.errors import ConfigurationError, NumericsError, SingularityError
 
 
+def full_pad(coeffs, m):
+    """Full-layout embedding of N coefficients into m >= N slots (reference)."""
+    n = coeffs.shape[-1]
+    out = np.zeros(coeffs.shape[:-1] + (m,), dtype=np.complex128)
+    out[..., :n // 2] = coeffs[..., :n // 2]
+    out[..., m - n // 2:] = coeffs[..., n // 2:]
+    return out
+
+
+def full_truncate(coeffs, n):
+    """Full-layout truncation of m coefficients to n modes, Nyquist zeroed
+    (reference)."""
+    m = coeffs.shape[-1]
+    out = np.zeros(coeffs.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :n // 2] = coeffs[..., :n // 2]
+    out[..., n - n // 2:] = coeffs[..., m - n // 2:]
+    out[..., n // 2] = 0.0
+    return out
+
+
 def random_real_field(seed, n_modes=64, max_mode=20):
     rng = np.random.default_rng(seed)
     c = np.zeros(n_modes, dtype=np.complex128)
@@ -119,10 +139,10 @@ class TestProducts:
         f64 = random_real_field(21, n_modes=64, max_mode=31)
         g64 = random_real_field(22, n_modes=64, max_mode=31)
         p64 = sp.pointwise_product(f64, g64)
-        f256 = sp.SpectrumField(sp._pad_coeffs(f64.coeffs, 256))
-        g256 = sp.SpectrumField(sp._pad_coeffs(g64.coeffs, 256))
+        f256 = sp.SpectrumField(full_pad(f64.coeffs, 256))
+        g256 = sp.SpectrumField(full_pad(g64.coeffs, 256))
         p256 = sp.pointwise_product(f256, g256)
-        ref = sp._truncate_coeffs(p256.coeffs, 64)
+        ref = full_truncate(p256.coeffs, 64)
         assert np.max(np.abs(p64.coeffs - ref)) < 1e-10
 
     def test_mismatched_sizes_rejected(self):
@@ -168,6 +188,44 @@ class TestInvariants:
         c = np.ones(16, dtype=np.complex128)
         f = sp.SpectrumField(c)
         assert f.coeffs[8] == 0.0
+
+
+class TestHalfBand:
+    """The rfft/irfft transforms against the full complex FFT formulas."""
+
+    CASES = [(n, m) for n in (8, 64, 128)
+             for m in sorted({n, sp.pad_size(n, 2), 2 * n, sp.pad_size(n, 4)})]
+
+    @pytest.mark.parametrize("n_modes,m", CASES)
+    def test_values_stack_matches_full_ifft(self, n_modes, m):
+        fields = [random_real_field(s, n_modes, n_modes // 2 - 1) for s in (1, 2, 3)]
+        out = sp.values_stack(fields, m)
+        c = np.array([f.coeffs for f in fields])
+        ref = np.real(np.fft.ifft(full_pad(c, m), axis=-1) * m)
+        assert out.shape == (3, m)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(sp.values_on_grid(fields[1], m), out[1])
+
+    @pytest.mark.parametrize("n_modes,m", CASES)
+    def test_project_matches_full_fft(self, n_modes, m):
+        rng = np.random.default_rng(n_modes + m)
+        samples = rng.standard_normal(m)
+        out = sp.project(samples, n_modes)
+        ref = full_truncate(np.fft.fft(samples) / m, n_modes)
+        assert np.max(np.abs(out.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert out.hermitian_defect() == 0.0
+        assert out.coeffs[n_modes // 2] == 0.0
+        if m == n_modes:
+            t = sp.transform(samples)
+            assert np.max(np.abs(t.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert t.hermitian_defect() == 0.0
+
+    def test_hermitian_fill_layout(self):
+        half = np.array([1.0, 2 + 1j, 3 - 2j, 4j, 99.0])   # entries past N/2 ignored
+        full = sp.hermitian_fill(half, 8)
+        assert np.array_equal(full, [1.0, 2 + 1j, 3 - 2j, 4j, 0.0, -4j, 3 + 2j, 2 - 1j])
+        columns = sp.hermitian_fill(np.array([half[:4], 2 * half[:4]]).T, 8)
+        assert np.array_equal(columns.T, [full, 2 * full])
 
 
 class TestPointwiseApply:
