@@ -1,8 +1,10 @@
 """Command-line entry points: run, linear-validate, elliptic-validate,
 lint-inequalities.
 
-All outputs are deterministic for a fixed config and seed: floats are written
-with shortest round-trip repr, no timestamps, stable row order.  The output
+All outputs are deterministic: `run` output for a fixed config, and the
+`elliptic-validate` and `lint-inequalities` tables for a fixed `--seed`.
+Floats are written with shortest round-trip repr, no timestamps, stable row
+order.  The output
 directory may be overridden with the DAMPEDWAVES_OUTDIR environment variable.
 """
 

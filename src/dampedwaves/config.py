@@ -23,8 +23,7 @@ _SCHEMA: dict[str, dict[str, type]] = {
                  "linear_only": bool},
     "diagnostics": {"noise_floor_rel": float, "monotone_slack": float,
                     "admissibility_cap": float, "require_monotone": bool},
-    "output": {"directory": str, "record_every": int, "snapshot_every": int,
-               "seed": int},
+    "output": {"directory": str, "record_every": int, "snapshot_every": int},
 }
 
 PRESETS = ("zero", "small_two_mode", "moderate_mix", "single_mode", "explicit")
@@ -53,7 +52,6 @@ class RunConfig:
     directory: str = "out"
     record_every: int = 10
     snapshot_every: int = 0               # 0: first and last record only
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_modes < 8 or self.n_modes % 2 != 0:
@@ -218,7 +216,6 @@ def config_to_text(cfg: RunConfig) -> str:
         f"directory = {cfg.directory}",
         f"record_every = {cfg.record_every}",
         f"snapshot_every = {cfg.snapshot_every}",
-        f"seed = {cfg.seed}",
         "",
     ])
 

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractionError
 from .geometry import (GeometryBundle, StripField, StripGrid, extension_profile,
-                       fd_derivative, harmonic_extension, strip_project,
-                       strip_project_stack, strip_values_stack, zero_strip)
+                       fd_derivative, harmonic_extension, strip_project_stack,
+                       zero_strip)
 from .norms import NormSpec, strip_norm
 from .spectral import (SpectrumField, dx, hermitian_fill, lam, pad_size,
                        project, values_stack)
@@ -40,7 +40,7 @@ from .spectral import (SpectrumField, dx, hermitian_fill, lam, pad_size,
 def solve_phi1(xi: SpectrumField, grid: StripGrid) -> StripField:
     """Linear part φ₁ = e^{x₂Λ}ξ (flat-domain harmonic extension of ξ).
 
-    Its vertical derivatives ∂₂ʲφ₁ are φ₁.lam(j).
+    Its vertical derivatives ∂₂ʲφ₁ are lam(φ₁, j).
     """
     return harmonic_extension(xi, grid)
 
@@ -187,8 +187,8 @@ class EllipticSolution:
         """RMS of the discrete Laplacian applied to the final fixed-point
         increment, normalized by the RMS of ∇φ: the size of the equation
         defect in the solver's own discretization (computed on read)."""
-        u1 = (self.phi1 + self.phi2).dx()
-        u2 = self.phi1.lam() + self.dzphi2
+        u1 = dx(self.phi1 + self.phi2)
+        u2 = lam(self.phi1) + self.dzphi2
         grad_rms = max(_rms(u1.coeffs), _rms(u2.coeffs))
         defect = _rms(discrete_laplacian(self.last_increment).coeffs)
         return defect / grad_rms if grad_rms > 0 else 0.0
@@ -217,8 +217,8 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     if bundle.diffeo_margin <= 0:
         raise ContractionError("geometry margin is not positive")
     m = pad_size(grid.n_modes, 2)
-    q11v, q12v, q22v = strip_values_stack([bundle.q11, bundle.q12, bundle.q22], m)
-    dz1 = phi1.lam()
+    q11v, q12v, q22v = values_stack([bundle.q11, bundle.q12, bundle.q22], m)
+    dz1 = lam(phi1)
 
     phi2 = zero_strip(grid)
     dz2 = zero_strip(grid)
@@ -228,7 +228,7 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     g1 = g2 = None
     converged = False
     for _ in range(max_iter):
-        u1v, u2v = strip_values_stack([(phi1 + phi2).dx(), dz1 + dz2], m)
+        u1v, u2v = values_stack([dx(phi1 + phi2), dz1 + dz2], m)
         g1, g2 = strip_project_stack(grid, np.array([-(q11v * u1v + q12v * u2v),
                                                      -(q12v * u1v + q22v * u2v)]))
         sol = poisson_divform(g1, g2)
@@ -267,8 +267,8 @@ def gradient_norm(phi1: StripField, phi2: StripField, dzphi2: StripField,
     trapezoid plus the modeled e^{2|n|x₂} tail.
     """
     grid = phi1.grid
-    u1 = (phi1 + phi2).dx()
-    u2 = phi1.lam() + dzphi2
+    u1 = dx(phi1 + phi2)
+    u2 = lam(phi1) + dzphi2
     dens = np.abs(u1.coeffs) ** 2 + np.abs(u2.coeffs) ** 2
     per_mode = np.trapezoid(dens, dx=grid.dz, axis=1)
     decay = 2.0 * np.maximum(np.abs(grid.modes).astype(float), 1.0)
@@ -332,14 +332,14 @@ def ale_laplacian_residual(bundle: GeometryBundle, phi1: StripField,
     """
     grid = bundle.grid
     m = pad_size(grid.n_modes, 2)
-    u1 = (phi1 + phi2).dx()
-    u2 = phi1.lam() + dzphi2
-    q11v, q12v, q22v = strip_values_stack([bundle.q11, bundle.q12, bundle.q22], m)
-    u1v, u2v = u1.values(m), u2.values(m)
-    f1 = strip_project(grid, q11v * u1v + q12v * u2v)
-    f2 = strip_project(grid, q12v * u1v + q22v * u2v)
+    u1 = dx(phi1 + phi2)
+    u2 = lam(phi1) + dzphi2
+    q11v, q12v, q22v, u1v, u2v = values_stack(
+        [bundle.q11, bundle.q12, bundle.q22, u1, u2], m)
+    f1, f2 = strip_project_stack(grid, np.array([q11v * u1v + q12v * u2v,
+                                                 q12v * u1v + q22v * u2v]))
     lapl = discrete_laplacian(phi2, acc=acc)
-    div = f1.dx() + f2.deriv_z(1, acc=acc)
+    div = dx(f1) + f2.deriv_z(1, acc=acc)
     res = lapl + div
     interior = res.coeffs[:, 2:-2]     # edge stencil rows excluded
     grad_rms = max(_rms(u1.coeffs), _rms(u2.coeffs))

@@ -12,19 +12,22 @@ Everything is stored mode-wise; vertical derivatives of closed-form
 extensions use the analytic multiplier |n|, finite-difference stencils are
 reserved for residual checks.  Strip fields are real, so their columns are
 Hermitian in the mode index: storage keeps all N modes, while transforms
-work on the modes 0..N/2−1 and fill the rest by conjugation.
+work on the modes 0..N/2−1 and fill the rest by conjugation.  A strip field
+is a stack of boundary spectra, one per depth node: its arithmetic,
+multipliers (`spectral.lam`, `dx`, ...) and sampling (`spectral.values_stack`)
+are the boundary fields' own, from `spectral`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DiffeomorphismError
-from .spectral import SpectrumField, _check_n_modes, hermitian_fill, mode_numbers
+from .spectral import (RealField, SpectrumField, _check_n_modes, dx,
+                       hermitian_fill, mode_numbers, values_on_grid, values_stack)
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ class StripGrid:
 
 
 @dataclass(frozen=True)
-class StripField:
+class StripField(RealField):
     """Scalar field on the strip, one Fourier column per mode.
 
     coeffs has shape (n_modes, n_depth); Hermitian symmetry in the mode index
@@ -76,43 +79,17 @@ class StripField:
         c[self.grid.n_modes // 2, :] = 0.0
         object.__setattr__(self, "coeffs", c)
 
+    def _like(self, coeffs: np.ndarray) -> "StripField":
+        return StripField(self.grid, coeffs)
+
     def trace(self) -> SpectrumField:
         """Boundary values at x₂ = 0."""
         return SpectrumField(self.coeffs[:, -1])
-
-    def dx(self, order: int = 1) -> "StripField":
-        sym = (1j * self.grid.modes.astype(float)) ** order
-        return StripField(self.grid, sym[:, None] * self.coeffs)
-
-    def lam(self, r: float = 1.0) -> "StripField":
-        """Λʳ at every depth node, the multiplier |n|ʳ; on a harmonic
-        extension e^{x₂Λ}v this is the vertical derivative ∂₂ʳ (integer r)."""
-        sym = np.abs(self.grid.modes).astype(float) ** r
-        return StripField(self.grid, sym[:, None] * self.coeffs)
 
     def deriv_z(self, order: int = 1, acc: int = 4) -> "StripField":
         """Vertical derivative by finite differences (residual checks only)."""
         d = fd_derivative(self.coeffs, self.grid.dz, order, acc)
         return StripField(self.grid, d)
-
-    def values(self, m: int | None = None) -> np.ndarray:
-        """Physical samples, shape (m, n_depth)."""
-        m = self.grid.n_modes if m is None else m
-        return strip_values_stack([self], m)[0]
-
-    def __add__(self, other: "StripField") -> "StripField":
-        return StripField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "StripField") -> "StripField":
-        return StripField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "StripField":
-        return StripField(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "StripField":
-        return StripField(self.grid, -self.coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -126,28 +103,10 @@ def zero_strip(grid: StripGrid) -> StripField:
     return StripField(grid, np.zeros((grid.n_modes, grid.n_depth), dtype=np.complex128))
 
 
-def strip_project(grid: StripGrid, samples: np.ndarray) -> StripField:
-    """Project physical samples (m, n_depth) back onto the grid's modes."""
-    return strip_project_stack(grid, samples[None])[0]
-
-
-def strip_values_stack(fields: Sequence[StripField], m: int) -> np.ndarray:
-    """Samples of several real fields, shape (len(fields), m, n_depth), m >= N.
-
-    One batched `irfft` of the modes 0..N/2−1 (the negative modes of a real
-    field are their conjugates); entry i equals fields[i].values(m).
-    """
-    grid = fields[0].grid
-    k = grid.n_modes // 2
-    half = np.zeros((len(fields), grid.n_depth, m // 2 + 1), dtype=np.complex128)
-    for block, f in zip(half, fields):
-        block[:, :k] = f.coeffs[:k].T
-    return np.fft.irfft(half, n=m, axis=-1, norm="forward").transpose(0, 2, 1)
-
-
 def strip_project_stack(grid: StripGrid, samples: np.ndarray) -> list[StripField]:
-    """strip_project of each real samples[i] (shape (k, m, n_depth)), one
-    `rfft`; the negative modes are filled by conjugation."""
+    """Projections of real samples[i] (shape (k, m, n_depth), m >= N) onto
+    the grid's modes, one `rfft`; the negative modes are filled by
+    conjugation."""
     c = np.fft.rfft(samples, axis=1, norm="forward")
     return [StripField(grid, hermitian_fill(ci, grid.n_modes)) for ci in c]
 
@@ -246,20 +205,39 @@ def harmonic_extension(h: SpectrumField, grid: StripGrid,
 class GeometryBundle:
     """δψ's derivatives and the tensors J, A, Q = JAAᵀ − Id of one interface.
 
-    A¹₁ ≡ 1 and A¹₂ ≡ 0 are not materialized.  diffeo_margin is the minimum
-    of J over the padded sampling grid; admissible states keep it positive.
+    Only Q²₂ is projected at build time; Q¹₁, Q¹₂, J and the A row are
+    derived on read.  A¹₁ ≡ 1 and A¹₂ ≡ 0 are not materialized.
+    diffeo_margin is the minimum of J over the padded sampling grid;
+    admissible states keep it positive.
     """
 
     grid: StripGrid
     boundary: SpectrumField          # the trace the flattening was built from
     dpsi1: StripField                # δψ,₁
     dpsi2: StripField                # δψ,₂  (= J − 1, analytic)
-    a21: StripField                  # A²₁ = −δψ,₁ / J
-    a22: StripField                  # A²₂ = 1 / J
-    q11: StripField                  # Q¹₁ = δψ,₂
-    q12: StripField                  # Q¹₂ = Q²₁ = −δψ,₁
     q22: StripField                  # Q²₂ = ((δψ,₁)² − δψ,₂)/J
     diffeo_margin: float
+
+    @property
+    def q11(self) -> StripField:     # Q¹₁ = δψ,₂
+        return self.dpsi2
+
+    @property
+    def q12(self) -> StripField:     # Q¹₂ = Q²₁ = −δψ,₁
+        return -self.dpsi1
+
+    @property
+    def a21(self) -> StripField:     # A²₁ = −δψ,₁ / J
+        return self._a_row()[0]
+
+    @property
+    def a22(self) -> StripField:     # A²₂ = 1 / J
+        return self._a_row()[1]
+
+    def _a_row(self) -> list[StripField]:
+        d1, d2 = values_stack([self.dpsi1, self.dpsi2], 2 * self.grid.n_modes)
+        j = 1.0 + d2
+        return strip_project_stack(self.grid, np.array([-d1 / j, 1.0 / j]))
 
     @property
     def j_field(self) -> StripField:
@@ -278,8 +256,7 @@ def build_geometry(h: SpectrumField, grid: StripGrid,
     dpsi1 = harmonic_extension(h, grid, dx_order=1)
     dpsi2 = harmonic_extension(h, grid, dz_order=1)
 
-    m = 2 * grid.n_modes
-    d1, d2 = strip_values_stack([dpsi1, dpsi2], m)
+    d1, d2 = values_stack([dpsi1, dpsi2], 2 * grid.n_modes)
     j = 1.0 + d2
     margin = float(np.min(j))
     if margin <= margin_min:
@@ -287,11 +264,9 @@ def build_geometry(h: SpectrumField, grid: StripGrid,
             f"not a diffeomorphism at this amplitude: min J = {margin:.4f} "
             f"<= margin_min = {margin_min:g}")
 
-    a22, a21, q22 = strip_project_stack(
-        grid, np.array([1.0 / j, -d1 / j, (d1 * d1 - d2) / j]))
-    return GeometryBundle(
-        grid=grid, boundary=h, dpsi1=dpsi1, dpsi2=dpsi2, a21=a21, a22=a22,
-        q11=dpsi2, q12=-dpsi1, q22=q22, diffeo_margin=margin)
+    q22, = strip_project_stack(grid, ((d1 * d1 - d2) / j)[None])
+    return GeometryBundle(grid=grid, boundary=h, dpsi1=dpsi1, dpsi2=dpsi2,
+                          q22=q22, diffeo_margin=margin)
 
 
 def identity_defect(bundle: GeometryBundle) -> float:
@@ -300,11 +275,8 @@ def identity_defect(bundle: GeometryBundle) -> float:
     Row 1 is the identity exactly; row 2 gives the two nontrivial entries
     A²₁ + A²₂ δψ,₁ = 0 and A²₂ (1 + δψ,₂) = 1.
     """
-    m = 2 * bundle.grid.n_modes
-    a21 = bundle.a21.values(m)
-    a22 = bundle.a22.values(m)
-    d1 = bundle.dpsi1.values(m)
-    d2 = bundle.dpsi2.values(m)
+    a21, a22, d1, d2 = values_stack([*bundle._a_row(), bundle.dpsi1, bundle.dpsi2],
+                                    2 * bundle.grid.n_modes)
     r21 = a21 + a22 * d1
     r22 = a22 * (1.0 + d2) - 1.0
     return float(max(np.max(np.abs(r21)), np.max(np.abs(r22))))
@@ -316,7 +288,7 @@ def check_piola(bundle: GeometryBundle, acc: int = 4) -> float:
     J A = [[J, 0], [−δψ,₁, 1]]; ∂₁ is spectral, ∂₂ uses an FD stencil of the
     given order.  The i = 2 column is identically satisfied.
     """
-    dj_dx = bundle.dpsi2.dx()               # ∂₁ J = ∂₁ δψ,₂
+    dj_dx = dx(bundle.dpsi2)                # ∂₁ J = ∂₁ δψ,₂
     d2_col = (-bundle.dpsi1).deriv_z(1, acc=acc)
     res = dj_dx + d2_col
-    return float(np.max(np.abs(res.values())))
+    return float(np.max(np.abs(values_on_grid(res))))

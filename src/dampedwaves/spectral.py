@@ -11,6 +11,10 @@ come from the modes 0..N/2−1 by `irfft`, samples go back by `rfft`, and
 `hermitian_fill` writes the negative modes of every result.  Inputs to these
 transforms must therefore be real (Hermitian) fields.
 
+Both kinds of real field, a boundary `SpectrumField` (coeffs (N,)) and a
+strip field (coeffs (N, N_z), one boundary spectrum per depth node), share the
+arithmetic, fixed multipliers and padded sampling below, all along axis 0.
+
 Fourier-multiplier operators (Λ = |n|, ∂₁ = in, heat kernel e^{−κn²}, the
 analytic weight e^{λ|n|}, ...) act diagonally on the coefficients.  Pointwise
 nonlinearities are evaluated on a zero-padded physical grid and projected
@@ -46,8 +50,33 @@ def mode_numbers(n_modes: int) -> np.ndarray:
     return n
 
 
+class RealField:
+    """Arithmetic of a real field whose coeffs hold the modes along axis 0;
+    subclasses define `_like(coeffs)`, a field of the same kind and grid."""
+
+    coeffs: np.ndarray
+
+    @property
+    def n_modes(self) -> int:
+        return self.coeffs.shape[0]
+
+    def __add__(self, other):
+        return self._like(self.coeffs + other.coeffs)
+
+    def __sub__(self, other):
+        return self._like(self.coeffs - other.coeffs)
+
+    def __mul__(self, scalar: float):
+        return self._like(self.coeffs * scalar)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._like(-self.coeffs)
+
+
 @dataclass(frozen=True)
-class SpectrumField:
+class SpectrumField(RealField):
     """Real periodic function of x₁ stored as Fourier coefficients.
 
     coeffs[k] is v̂(n_k) with n_k = mode_numbers(n_modes)[k]; Hermitian
@@ -70,9 +99,8 @@ class SpectrumField:
                 raise ConfigurationError(
                     f"field flagged zero-mean has coeff(0)={c[0]:.3e}")
 
-    @property
-    def n_modes(self) -> int:
-        return self.coeffs.size
+    def _like(self, coeffs: np.ndarray) -> "SpectrumField":
+        return SpectrumField(coeffs)
 
     @property
     def modes(self) -> np.ndarray:
@@ -86,20 +114,6 @@ class SpectrumField:
         c = self.coeffs
         cr = np.roll(c[::-1], 1)  # entry at −n
         return float(np.max(np.abs(cr - np.conj(c))))
-
-    def __add__(self, other: "SpectrumField") -> "SpectrumField":
-        return SpectrumField(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectrumField") -> "SpectrumField":
-        return SpectrumField(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectrumField":
-        return SpectrumField(self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectrumField":
-        return SpectrumField(-self.coeffs)
 
 
 def zero_field(n_modes: int) -> SpectrumField:
@@ -160,24 +174,26 @@ def pad_size(n_modes: int, order: int = 2) -> int:
     return m + (m % 2)
 
 
-def values_on_grid(f: SpectrumField, m: int | None = None) -> np.ndarray:
+def values_on_grid(f: RealField, m: int | None = None) -> np.ndarray:
     """Real samples of f on an m-point uniform grid (default: its own grid)."""
     m = f.n_modes if m is None else m
     return values_stack([f], m)[0]
 
 
-def values_stack(fields: Sequence[SpectrumField], m: int) -> np.ndarray:
-    """Samples of equal-size real fields on one m-point grid (m >= N), shape
-    (len(fields), m).
+def values_stack(fields: Sequence[RealField], m: int) -> np.ndarray:
+    """Samples of real fields of one kind and grid on one m-point grid
+    (m >= N): shape (len(fields), m), or (len(fields), m, N_z) for strips.
 
-    One batched `irfft` of the modes 0..N/2−1; row i equals
-    values_on_grid(fields[i], m).
+    One batched `irfft` of the modes 0..N/2−1 along the last axis of a
+    depth-major buffer; strip samples are a view with the depth axis last.
+    Entry i equals values_on_grid(fields[i], m).
     """
-    k = fields[0].n_modes // 2
-    half = np.zeros((len(fields), m // 2 + 1), dtype=np.complex128)
-    for row, f in zip(half, fields):
-        row[:k] = f.coeffs[:k]
-    return np.fft.irfft(half, n=m, axis=-1, norm="forward")
+    c0 = fields[0].coeffs
+    k = c0.shape[0] // 2
+    half = np.zeros((len(fields),) + c0.shape[1:] + (m // 2 + 1,), dtype=np.complex128)
+    for block, f in zip(half, fields):
+        block[..., :k] = f.coeffs[:k].T
+    return np.fft.irfft(half, n=m, axis=-1, norm="forward").swapaxes(1, -1)
 
 
 def project(samples: np.ndarray, n_modes: int) -> SpectrumField:
@@ -215,33 +231,36 @@ _SYMBOLS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
 
 
 @lru_cache(maxsize=256)
-def _fixed_symbol(kind: str, n_modes: int, param: float) -> np.ndarray:
-    """Checked symbol of a fixed multiplier, built once per (kind, N, param)."""
+def _fixed_symbol(kind: str, n_modes: int, param: float, ndim: int) -> np.ndarray:
+    """Checked symbol of a fixed multiplier, built once per (kind, N, param),
+    shaped (N, 1, ...) to broadcast over the depth axis of ndim-d coeffs."""
     m = _symbol_values(lambda n: _SYMBOLS[kind](n, param), mode_numbers(n_modes))
+    m = m.reshape((n_modes,) + (1,) * (ndim - 1))
     m.setflags(write=False)
     return m
 
 
-def _apply_fixed(f: SpectrumField, kind: str, param: float = 0.0) -> SpectrumField:
-    return SpectrumField(_fixed_symbol(kind, f.n_modes, param) * f.coeffs)
+def _apply_fixed(f: RealField, kind: str, param: float = 0.0) -> RealField:
+    return f._like(_fixed_symbol(kind, f.n_modes, param, f.coeffs.ndim) * f.coeffs)
 
 
-def lam(f: SpectrumField, power: float = 1.0) -> SpectrumField:
-    """Calderon operator Λ^r, the multiplier |n|^r (with 0^r = 0 for r > 0)."""
+def lam(f: RealField, power: float = 1.0) -> RealField:
+    """Calderon operator Λ^r, the multiplier |n|^r (with 0^r = 0 for r > 0);
+    on a harmonic extension e^{x₂Λ}v it is the vertical derivative ∂₂ʳ."""
     return _apply_fixed(f, "lam", power)
 
 
-def dx(f: SpectrumField) -> SpectrumField:
+def dx(f: RealField) -> RealField:
     """Tangential derivative ∂₁, multiplier in."""
     return _apply_fixed(f, "dx")
 
 
-def dxx(f: SpectrumField) -> SpectrumField:
+def dxx(f: RealField) -> RealField:
     """Second tangential derivative ∂₁², multiplier −n²."""
     return _apply_fixed(f, "dxx")
 
 
-def mollify(f: SpectrumField, kappa: float) -> SpectrumField:
+def mollify(f: RealField, kappa: float) -> RealField:
     """Periodic heat-kernel smoothing, multiplier e^{−κn²}; κ=0 is identity."""
     if kappa < 0:
         raise ConfigurationError(f"mollification strength must be >= 0, got {kappa}")

@@ -336,7 +336,6 @@ amplitude = 0.01
 
 [output]
 record_every = 10
-seed = 42
 """)
     outs = []
     for name in ("a", "b"):

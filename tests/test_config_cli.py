@@ -55,6 +55,13 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match=r"line \d+: unknown key"):
             cf.parse_config(bad)
 
+    def test_output_seed_rejected(self):
+        # `run` draws nothing at random, so [output] has no seed key
+        bad = MINIMAL + "\n[output]\nseed = 42\n"
+        line = bad.splitlines().index("seed = 42") + 1
+        with pytest.raises(ConfigurationError, match=rf"line {line}: unknown key"):
+            cf.parse_config(bad)
+
     def test_unknown_section(self):
         with pytest.raises(ConfigurationError, match="unknown section"):
             cf.parse_config(MINIMAL + "\n[physics]\n")
@@ -286,3 +293,27 @@ def test_step_temporaries_stay_on_heap(tmp_path, monkeypatch):
     steps = 50
     per_step = (minor_faults("0.05") - minor_faults("0")) / steps
     assert per_step <= 200
+
+
+def test_benchmark_trace_hooks_find_every_layer(tmp_path, monkeypatch):
+    # bench/trace_cli.py wraps package names where they are looked up and
+    # raises AttributeError on a missing one, failing every traced round
+    monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
+    root = Path(cli.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    cfg = tmp_path / "trace.ini"
+    cfg.write_text(MINIMAL.replace("n_modes = 64", "n_modes = 8\nn_depth = 48")
+                   .replace("t_final = 1.0", "t_final = 0.005"))
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "trace_cli.py"), "--spans", str(spans),
+         "--", "run", "--config", str(cfg), "--output-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(spans.read_text())["calls"]
+    for layer in ("evolution.step", "evolution.evaluate_rhs",
+                  "geometry.build_geometry", "elliptic.solve_phi2",
+                  "elliptic.poisson_divform", "elliptic.second_trace_primary",
+                  "diagnostics.compute_records", "cli.cmd_run"):
+        assert calls.get(layer, 0) > 0, layer

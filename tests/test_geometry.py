@@ -65,16 +65,16 @@ class TestGeometryBundle:
         assert np.max(np.abs(b.q11.coeffs)) == 0.0
         assert np.max(np.abs(b.q12.coeffs)) == 0.0
         assert np.max(np.abs(b.q22.coeffs)) == 0.0
-        a22 = b.a22.values()
+        a22 = sp.values_on_grid(b.a22)
         assert np.max(np.abs(a22 - 1.0)) < 1e-14
 
     def test_hand_values_at_origin(self):
         # h = 0.1 cos x₁ at (x₁, x₂) = (0, 0): J = 1.1, A²₂ = 1/1.1, A²₁ = 0
         grid = geo.StripGrid(64, depth=8.0, n_depth=129)
         b = geo.build_geometry(sp.cosine(1, 0.1, 64), grid)
-        jv = b.j_field.values()
-        a22 = b.a22.values()
-        a21 = b.a21.values()
+        jv = sp.values_on_grid(b.j_field)
+        a22 = sp.values_on_grid(b.a22)
+        a21 = sp.values_on_grid(b.a21)
         assert jv[0, -1] == pytest.approx(1.1, rel=1e-12)
         assert a22[0, -1] == pytest.approx(1.0 / 1.1, rel=1e-10)
         assert abs(a21[0, -1]) < 1e-12
@@ -145,7 +145,7 @@ class TestStripFieldBasics:
     def test_lam_trace_is_boundary_lam(self, r):
         grid = geo.StripGrid(16, depth=8.0, n_depth=65)
         u = random_strip_field(np.random.default_rng(4), grid, max_mode=6)
-        assert np.array_equal(u.lam(r).trace().coeffs, sp.lam(u.trace(), r).coeffs)
+        assert np.array_equal(sp.lam(u, r).trace().coeffs, sp.lam(u.trace(), r).coeffs)
 
     def test_shape_validation(self):
         grid = geo.StripGrid(16, depth=8.0, n_depth=65)
@@ -171,6 +171,56 @@ class TestStripFieldBasics:
             geo.StripGrid(16, n_depth=4)
 
 
+class TestStripColumns:
+    """A strip field is a stack of boundary spectra: the shared multipliers,
+    arithmetic and sampling act on every depth column as on a SpectrumField."""
+
+    GRIDS = [(8, 48), (64, 193)]
+    OPS = {
+        "lam0.5": lambda a, b: sp.lam(a, 0.5),
+        "lam1": lambda a, b: sp.lam(a),
+        "lam2": lambda a, b: sp.lam(a, 2.0),
+        "dx": lambda a, b: sp.dx(a),
+        "dxx": lambda a, b: sp.dxx(a),
+        "mollify": lambda a, b: sp.mollify(a, 0.3),
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "scale": lambda a, b: 2.5 * a,
+        "neg": lambda a, b: -a,
+    }
+
+    @staticmethod
+    def pair(n_modes, n_depth):
+        grid = geo.StripGrid(n_modes, depth=8.0, n_depth=n_depth)
+        rng = np.random.default_rng(n_modes + n_depth)
+        return [random_strip_field(rng, grid, n_modes // 2 - 1) for _ in range(2)]
+
+    @staticmethod
+    def column(f, j):
+        return sp.SpectrumField(f.coeffs[:, j])
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("n_modes,n_depth", GRIDS)
+    def test_operation_acts_per_column(self, n_modes, n_depth, op):
+        u, v = self.pair(n_modes, n_depth)
+        out = self.OPS[op](u, v)
+        assert isinstance(out, geo.StripField) and out.grid == u.grid
+        for j in range(n_depth):
+            ref = self.OPS[op](self.column(u, j), self.column(v, j))
+            assert np.array_equal(out.coeffs[:, j], ref.coeffs), j
+
+    @pytest.mark.parametrize("n_modes,n_depth", GRIDS)
+    def test_sampling_acts_per_column(self, n_modes, n_depth):
+        u, v = self.pair(n_modes, n_depth)
+        for m in sorted({n_modes, sp.pad_size(n_modes, 2), 2 * n_modes,
+                         sp.pad_size(n_modes, 4)}):
+            out = sp.values_stack([u, v], m)
+            assert out.shape == (2, m, n_depth)
+            for j in range(n_depth):
+                ref = sp.values_stack([self.column(u, j), self.column(v, j)], m)
+                assert np.array_equal(out[:, :, j], ref), (m, j)
+
+
 def strip_hermitian_defect(f: geo.StripField) -> float:
     """Max over depth nodes of |coeff(−n) − conj(coeff(n))|."""
     c = f.coeffs
@@ -178,7 +228,8 @@ def strip_hermitian_defect(f: geo.StripField) -> float:
 
 
 class TestHalfBand:
-    """strip_values_stack / strip_project_stack against the full complex FFT."""
+    """values_stack of strip fields / strip_project_stack against the full
+    complex FFT."""
 
     CASES = [(n, m) for n in (8, 64, 128)
              for m in sorted({n, sp.pad_size(n, 2), 2 * n, sp.pad_size(n, 4)})]
@@ -188,7 +239,7 @@ class TestHalfBand:
         grid = geo.StripGrid(n_modes, depth=8.0, n_depth=33)
         rng = np.random.default_rng(n_modes + m)
         fields = [random_strip_field(rng, grid, n_modes // 2 - 1) for _ in range(3)]
-        out = geo.strip_values_stack(fields, m)
+        out = sp.values_stack(fields, m)
         half = n_modes // 2
         ref = np.empty((3, m, grid.n_depth))
         for i, f in enumerate(fields):
@@ -198,7 +249,7 @@ class TestHalfBand:
             ref[i] = np.real(np.fft.ifft(padded, axis=0) * m)
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
-        assert np.array_equal(fields[2].values(m), out[2])
+        assert np.array_equal(sp.values_on_grid(fields[2], m), out[2])
 
     @pytest.mark.parametrize("n_modes,m", CASES)
     def test_project_matches_full_fft(self, n_modes, m):
@@ -215,4 +266,3 @@ class TestHalfBand:
             assert np.max(np.abs(f.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
             assert strip_hermitian_defect(f) == 0.0
             assert np.all(f.coeffs[half] == 0.0)
-        assert np.array_equal(geo.strip_project(grid, samples[1]).coeffs, out[1].coeffs)
