@@ -7,7 +7,7 @@ with the offending line number, so archived experiment files stay auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 from .evolution import ModelParams, StepOptions
@@ -21,12 +21,10 @@ _SCHEMA: dict[str, dict[str, type]] = {
     "initial": {"preset": str, "amplitude": float, "h_modes": str, "xi_modes": str},
     "numerics": {"picard_tol": str, "picard_max_iter": int, "margin_min": float,
                  "linear_only": bool},
-    "diagnostics": {"noise_floor_rel": float, "monotone_slack": float,
-                    "admissibility_cap": float, "require_monotone": bool},
     "output": {"directory": str, "record_every": int, "snapshot_every": int},
 }
 
-PRESETS = ("zero", "small_two_mode", "moderate_mix", "single_mode", "explicit")
+PRESETS = ("zero", "small_two_mode", "moderate_mix", "explicit")
 
 
 @dataclass(frozen=True)
@@ -45,13 +43,10 @@ class RunConfig:
     picard_max_iter: int = 25
     margin_min: float = 0.1
     linear_only: bool = False
-    noise_floor_rel: float = 1e-13
-    monotone_slack: float = 1e-6
-    admissibility_cap: float = 0.5
-    require_monotone: bool = False
     directory: str = "out"
     record_every: int = 10
     snapshot_every: int = 0               # 0: first and last record only
+    grid: StripGrid = field(init=False)
 
     def __post_init__(self):
         if self.n_modes < 8 or self.n_modes % 2 != 0:
@@ -65,13 +60,17 @@ class RunConfig:
             raise ConfigurationError(
                 f"analyticity diagnostics need mu < alpha/2 "
                 f"(mu={self.params.mu}, alpha={self.params.alpha})")
-        if self.preset not in PRESETS:
+        if self.picard_max_iter < 1:
             raise ConfigurationError(
-                f"unknown preset {self.preset!r}; choose from {PRESETS}")
-
-    @property
-    def grid(self) -> StripGrid:
-        return StripGrid(self.n_modes, depth=self.depth, n_depth=self.n_depth)
+                f"picard_max_iter must be >= 1, got {self.picard_max_iter}")
+        if self.record_every < 1:
+            raise ConfigurationError(
+                f"record_every must be >= 1, got {self.record_every}")
+        if self.snapshot_every < 0:
+            raise ConfigurationError(
+                f"snapshot_every must be >= 0, got {self.snapshot_every}")
+        object.__setattr__(self, "grid", StripGrid(self.n_modes, depth=self.depth,
+                                                   n_depth=self.n_depth))
 
     @property
     def step_options(self) -> StepOptions:
@@ -146,6 +145,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
         values[section][key] = _coerce(raw, _SCHEMA[section][key],
                                        f"{section}.{key}", lineno)
+        if key == "preset" and values[section][key] not in PRESETS:
+            raise ConfigurationError(
+                f"line {lineno}: unknown preset {raw!r}; choose from {PRESETS}")
         mode_lines[f"{section}.{key}"] = lineno
 
     model = values.get("model", {})
@@ -157,7 +159,7 @@ def parse_config(text: str) -> RunConfig:
                          mu=float(model.get("mu", 0.0)))
 
     kv: dict[str, object] = {}
-    for sect in ("grid", "time", "numerics", "diagnostics", "output"):
+    for sect in ("grid", "time", "numerics", "output"):
         kv.update(values.get(sect, {}))
     init = values.get("initial", {})
     if "preset" in init:
@@ -207,11 +209,6 @@ def config_to_text(cfg: RunConfig) -> str:
         f"picard_max_iter = {cfg.picard_max_iter}",
         f"margin_min = {cfg.margin_min!r}",
         f"linear_only = {str(cfg.linear_only).lower()}",
-        "[diagnostics]",
-        f"noise_floor_rel = {cfg.noise_floor_rel!r}",
-        f"monotone_slack = {cfg.monotone_slack!r}",
-        f"admissibility_cap = {cfg.admissibility_cap!r}",
-        f"require_monotone = {str(cfg.require_monotone).lower()}",
         "[output]",
         f"directory = {cfg.directory}",
         f"record_every = {cfg.record_every}",
@@ -238,10 +235,6 @@ def initial_data(cfg: RunConfig) -> tuple[SpectrumField, SpectrumField]:
         h0 = cosine(1, a, n) + cosine(2, 0.5 * a, n)
         xi0 = sine(1, a, n) + sine(2, 0.5 * a, n)
         return h0, xi0
-    if cfg.preset == "single_mode":
-        k = max(1, int(round(cfg.h_modes[0][0])) if cfg.h_modes else 1)
-        a = cfg.amplitude / (2.0 * (1.0 + k))
-        return cosine(k, a, n), sine(k, a, n)
     if cfg.preset == "moderate_mix":
         # mode-3-weighted data: O(1) H³ energy at small amplitude
         a = cfg.amplitude

@@ -24,7 +24,7 @@ from .evolution import (ModelParams, SimState, StepOptions, Trajectory,
 from .geometry import StripGrid, build_geometry, zero_strip
 from .norms import InequalityReport, NormSpec, sobolev_norm
 from .spectral import (SpectrumField, dx, lam, mode_numbers, mollify,
-                       pad_size, project, values_on_grid)
+                       pad_size, project_stack, values_stack)
 
 DEFAULT_NOISE_FLOOR = 1e-13
 _EXP_CAP = 700.0  # overflow guard for e^{μt|n|}
@@ -240,18 +240,6 @@ def compute_records(traj: Trajectory,
     return records
 
 
-def energy_functional(traj: Trajectory, up_to: float,
-                      opts: StepOptions | None = None) -> float:
-    """𝓔 at the last record time <= up_to (boundary max + bulk integral)."""
-    times = traj.times
-    if up_to < times[0] - 1e-12 or up_to > times[-1] + 1e-12:
-        raise ConfigurationError(
-            f"requested time {up_to} outside recorded range [{times[0]}, {times[-1]}]")
-    records = compute_records(traj, opts=opts)
-    idx = int(np.searchsorted(times, up_to + 1e-12) - 1)
-    return records[max(idx, 0)].energy
-
-
 # ---------------------------------------------------------------------------
 # structural checks along runs
 
@@ -304,12 +292,8 @@ def check_A_deviation(b: SpectrumField, s: float, lam_: float,
     the configured cap and the measured constant.
     """
     from .norms import wiener_norm
-    n_modes = b.n_modes
-    mpad = pad_size(n_modes, 4)
-    d1 = values_on_grid(dx(b), mpad)
-    d2 = values_on_grid(lam(b), mpad)
-    a21 = project(-d1 / (1.0 + d2), n_modes)
-    a22 = project(-d2 / (1.0 + d2), n_modes)
+    d1, d2 = values_stack([dx(b), lam(b)], pad_size(b.n_modes, 4))
+    a21, a22 = project_stack(np.array([-d1 / (1.0 + d2), -d2 / (1.0 + d2)]), b)
     spec = NormSpec(s, lam_)
     lhs = wiener_norm(a21, spec) + wiener_norm(a22, spec)
     denom = wiener_norm(lam(b), spec)

@@ -30,11 +30,10 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractionError
 from .geometry import (GeometryBundle, StripField, StripGrid, extension_profile,
-                       fd_derivative, harmonic_extension, strip_project_stack,
-                       zero_strip)
+                       fd_derivative, harmonic_extension, zero_strip)
 from .norms import NormSpec, strip_norm
-from .spectral import (SpectrumField, dx, hermitian_fill, lam, pad_size,
-                       project, values_stack)
+from .spectral import (SpectrumField, dx, dxx, hermitian_fill, lam, pad_size,
+                       project, project_stack, values_stack)
 
 
 def solve_phi1(xi: SpectrumField, grid: StripGrid) -> StripField:
@@ -199,9 +198,9 @@ def _rms(x: np.ndarray) -> float:
 
 
 def discrete_laplacian(u: StripField, acc: int = 4) -> StripField:
-    """−n²û + ∂₂²û with the FD stencil of the given order (oracle use)."""
-    n2 = (u.grid.modes.astype(float) ** 2)[:, None]
-    return StripField(u.grid, -n2 * u.coeffs + fd_derivative(u.coeffs, u.grid.dz, 2, acc))
+    """∂₁²u + ∂₂²u, ∂₂² by the FD stencil of the given order (oracle use)."""
+    return StripField(u.grid,
+                      dxx(u).coeffs + fd_derivative(u.coeffs, u.grid.dz, 2, acc))
 
 
 def solve_phi2(bundle: GeometryBundle, phi1: StripField,
@@ -210,10 +209,13 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
 
     Stops when the successive-iterate change in the k=0 strip norm falls
     below tol.  Raises ContractionError when the increments stop contracting
-    (the amplitude left the smallness regime) or max_iter is exhausted.
-    The final increment is kept for EllipticSolution.residual.
+    (the amplitude left the smallness regime) or max_iter is exhausted, and
+    ConfigurationError for max_iter < 1.  The final increment is kept for
+    EllipticSolution.residual.
     """
     grid = bundle.grid
+    if max_iter < 1:
+        raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
     if bundle.diffeo_margin <= 0:
         raise ContractionError("geometry margin is not positive")
     m = pad_size(grid.n_modes, 2)
@@ -229,8 +231,8 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     converged = False
     for _ in range(max_iter):
         u1v, u2v = values_stack([dx(phi1 + phi2), dz1 + dz2], m)
-        g1, g2 = strip_project_stack(grid, np.array([-(q11v * u1v + q12v * u2v),
-                                                     -(q12v * u1v + q22v * u2v)]))
+        g1, g2 = project_stack(np.array([-(q11v * u1v + q12v * u2v),
+                                         -(q12v * u1v + q22v * u2v)]), phi1)
         sol = poisson_divform(g1, g2)
         last_inc_field = sol.phi - phi2
         inc = strip_norm(last_inc_field, NormSpec(0.0, 0.0, 0))
@@ -289,8 +291,7 @@ def second_trace_primary(bundle: GeometryBundle, xi: SpectrumField,
     (1 + (δψ,₁)²)/(1 + δψ,₂) > 0 on admissible geometry.
     """
     b = bundle.boundary
-    n_modes = b.n_modes
-    mpad = pad_size(n_modes, 4)
+    mpad = pad_size(b.n_modes, 4)
 
     d1, d2, d12, d22, u1, lam_xi, dz2, du1, p1_d2, dg1 = values_stack([
         dx(b), lam(b), dx(lam(b)), lam(b, 2.0),
@@ -308,8 +309,7 @@ def second_trace_primary(bundle: GeometryBundle, xi: SpectrumField,
     dq22 = (2.0 * d1 * d12 - d22) / j0 - (d1 * d1 - d2) * d22 / j0 ** 2
 
     known = dg1 - (dq12 * u1 + q12 * du1 + dq22 * u2 + q22 * p1_d2)
-    t = known / (1.0 + q22)
-    return project(t, n_modes)
+    return project(known / (1.0 + q22), b)
 
 
 def second_trace_kernel(g1: StripField, g2: StripField, acc: int = 4) -> SpectrumField:
@@ -330,14 +330,13 @@ def ale_laplacian_residual(bundle: GeometryBundle, phi1: StripField,
     Returns (max residual, rms of ∇φ).  ∂₁ is spectral, all vertical
     derivatives here use FD stencils, independent of the kernel quadrature.
     """
-    grid = bundle.grid
-    m = pad_size(grid.n_modes, 2)
+    m = pad_size(bundle.grid.n_modes, 2)
     u1 = dx(phi1 + phi2)
     u2 = lam(phi1) + dzphi2
     q11v, q12v, q22v, u1v, u2v = values_stack(
         [bundle.q11, bundle.q12, bundle.q22, u1, u2], m)
-    f1, f2 = strip_project_stack(grid, np.array([q11v * u1v + q12v * u2v,
-                                                 q12v * u1v + q22v * u2v]))
+    f1, f2 = project_stack(np.array([q11v * u1v + q12v * u2v,
+                                     q12v * u1v + q22v * u2v]), phi2)
     lapl = discrete_laplacian(phi2, acc=acc)
     div = dx(f1) + f2.deriv_z(1, acc=acc)
     res = lapl + div

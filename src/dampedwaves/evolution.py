@@ -37,7 +37,7 @@ from .elliptic import EllipticSolution, gradient_norm, solve_phi1, solve_phi2
 from .errors import ConfigurationError
 from .geometry import StripGrid, build_geometry
 from .spectral import (SpectrumField, dx, dxx, lam, mode_numbers, mollify,
-                       pad_size, project, values_stack)
+                       pad_size, project_stack, values_stack)
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,7 @@ def evaluate_rhs(state: SimState, params: ModelParams, grid: StripGrid,
     esol = solve_phi2(bundle, solve_phi1(xik, grid), tol=opts.picard_tol,
                       max_iter=opts.picard_max_iter)
     b = bundle.boundary                       # = ε h^κ
-    n_modes = h.n_modes
-    mpad = pad_size(n_modes, 4)
+    mpad = pad_size(h.n_modes, 4)
 
     xi_x, p2, hx, lam_b, lam2xi, t2, lam2b, h2x = values_stack([
         dx(xik),                              # φ,₁|₀
@@ -113,15 +112,14 @@ def evaluate_rhs(state: SimState, params: ModelParams, grid: StripGrid,
     a2phi = p2 / w
     a1phi = xi_x - hx * a2phi
     kin = -hx * a1phi + a2phi                 # A^k_j φ,_k ñ_j
-
-    h_t = mollify(project(kin, n_modes), params.kappa) + \
-        params.alpha * dxx(mollify(hk, params.kappa))
-
     quad = -0.5 * params.epsilon * (a1phi ** 2 + a2phi ** 2)
     diss = -params.alpha * ((lam2xi + t2) / w ** 2 - lam2b * p2 / w ** 3)
     mixed = params.epsilon * a2phi * (kin + params.alpha * h2x)
-    bracket = project(quad + diss + mixed, n_modes) - h
-    xi_t = mollify(bracket, params.kappa)
+    kin_hat, nonlin_hat = project_stack(np.array([kin, quad + diss + mixed]), h)
+
+    h_t = mollify(kin_hat, params.kappa) + \
+        params.alpha * dxx(mollify(hk, params.kappa))
+    xi_t = mollify(nonlin_hat - h, params.kappa)
     return RhsEval(h_t=h_t, xi_t=xi_t, solution=esol)
 
 

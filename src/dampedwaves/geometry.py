@@ -8,14 +8,15 @@ depth grid.  Given an interface b (the boundary trace used for flattening),
     A = (∇ψ)⁻¹ = (1/J) [[J, 0], [−δψ,₁, 1]]
     Q = J A Aᵀ − Id = [[δψ,₂, −δψ,₁], [−δψ,₁, ((δψ,₁)² − δψ,₂)/J]]
 
-Everything is stored mode-wise; vertical derivatives of closed-form
-extensions use the analytic multiplier |n|, finite-difference stencils are
-reserved for residual checks.  Strip fields are real, so their columns are
-Hermitian in the mode index: storage keeps all N modes, while transforms
-work on the modes 0..N/2−1 and fill the rest by conjugation.  A strip field
-is a stack of boundary spectra, one per depth node: its arithmetic,
-multipliers (`spectral.lam`, `dx`, ...) and sampling (`spectral.values_stack`)
-are the boundary fields' own, from `spectral`.
+Everything is stored mode-wise; derivatives of the harmonic extension are
+the shared multipliers `spectral.dx` (in) and `spectral.lam` (|n|), and
+finite-difference stencils are reserved for residual checks.  Strip fields
+are real, so their columns are Hermitian in the mode index: storage keeps all
+N modes, while transforms work on the modes 0..N/2−1 and fill the rest by
+conjugation.  A strip field is a stack of boundary spectra, one per depth
+node: its arithmetic, multipliers (`spectral.lam`, `dx`, ...), sampling
+(`spectral.values_stack`) and projection (`spectral.project_stack`) are the
+boundary fields' own, from `spectral`.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DiffeomorphismError
-from .spectral import (RealField, SpectrumField, _check_n_modes, dx,
-                       hermitian_fill, mode_numbers, values_on_grid, values_stack)
+from .spectral import (RealField, SpectrumField, _check_n_modes, dx, lam,
+                       mode_numbers, pad_size, project, project_stack,
+                       values_on_grid, values_stack)
 
 
 @dataclass(frozen=True)
@@ -101,14 +103,6 @@ def _depth_nodes(depth: float, n_depth: int) -> np.ndarray:
 
 def zero_strip(grid: StripGrid) -> StripField:
     return StripField(grid, np.zeros((grid.n_modes, grid.n_depth), dtype=np.complex128))
-
-
-def strip_project_stack(grid: StripGrid, samples: np.ndarray) -> list[StripField]:
-    """Projections of real samples[i] (shape (k, m, n_depth), m >= N) onto
-    the grid's modes, one `rfft`; the negative modes are filled by
-    conjugation."""
-    c = np.fft.rfft(samples, axis=1, norm="forward")
-    return [StripField(grid, hermitian_fill(ci, grid.n_modes)) for ci in c]
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +179,12 @@ def extension_profile(grid: StripGrid) -> np.ndarray:
     return prof
 
 
-def harmonic_extension(h: SpectrumField, grid: StripGrid,
-                       dx_order: int = 0, dz_order: int = 0) -> StripField:
-    """∂₁^a ∂₂^b of the solution of Δδψ = 0 on the strip with trace h.
-
-    δψ̂(n,x₂) = e^{|n|x₂}ĥ(n); the derivatives are the analytic multipliers
-    (in)^a |n|^b.
-    """
+def harmonic_extension(h: SpectrumField, grid: StripGrid) -> StripField:
+    """The decaying solution of Δδψ = 0 on the strip with trace h,
+    δψ̂(n,x₂) = e^{|n|x₂}ĥ(n); its derivatives ∂₁ and ∂₂ are dx and lam."""
     if h.n_modes != grid.n_modes:
         raise ConfigurationError("interface and grid mode counts differ")
-    prof = extension_profile(grid)
-    if dx_order or dz_order:
-        n = grid.modes.astype(float)
-        prof = ((1j * n) ** dx_order * np.abs(n) ** dz_order)[:, None] * prof
-    return StripField(grid, prof * h.coeffs[:, None])
+    return StripField(grid, extension_profile(grid) * h.coeffs[:, None])
 
 
 @dataclass(frozen=True)
@@ -235,9 +221,9 @@ class GeometryBundle:
         return self._a_row()[1]
 
     def _a_row(self) -> list[StripField]:
-        d1, d2 = values_stack([self.dpsi1, self.dpsi2], 2 * self.grid.n_modes)
+        d1, d2 = values_stack([self.dpsi1, self.dpsi2], pad_size(self.grid.n_modes, 3))
         j = 1.0 + d2
-        return strip_project_stack(self.grid, np.array([-d1 / j, 1.0 / j]))
+        return project_stack(np.array([-d1 / j, 1.0 / j]), self.dpsi1)
 
     @property
     def j_field(self) -> StripField:
@@ -253,10 +239,11 @@ def build_geometry(h: SpectrumField, grid: StripGrid,
     Raises DiffeomorphismError when min(1 + δψ,₂) <= margin_min, mirroring
     the smallness requirement that makes ψ injective.
     """
-    dpsi1 = harmonic_extension(h, grid, dx_order=1)
-    dpsi2 = harmonic_extension(h, grid, dz_order=1)
+    psi = harmonic_extension(h, grid)
+    dpsi1, dpsi2 = dx(psi), lam(psi)
+    del psi                               # freed before sampling: peak memory
 
-    d1, d2 = values_stack([dpsi1, dpsi2], 2 * grid.n_modes)
+    d1, d2 = values_stack([dpsi1, dpsi2], pad_size(grid.n_modes, 3))
     j = 1.0 + d2
     margin = float(np.min(j))
     if margin <= margin_min:
@@ -264,7 +251,7 @@ def build_geometry(h: SpectrumField, grid: StripGrid,
             f"not a diffeomorphism at this amplitude: min J = {margin:.4f} "
             f"<= margin_min = {margin_min:g}")
 
-    q22, = strip_project_stack(grid, ((d1 * d1 - d2) / j)[None])
+    q22 = project((d1 * d1 - d2) / j, dpsi1)
     return GeometryBundle(grid=grid, boundary=h, dpsi1=dpsi1, dpsi2=dpsi2,
                           q22=q22, diffeo_margin=margin)
 
@@ -276,7 +263,7 @@ def identity_defect(bundle: GeometryBundle) -> float:
     A²₁ + A²₂ δψ,₁ = 0 and A²₂ (1 + δψ,₂) = 1.
     """
     a21, a22, d1, d2 = values_stack([*bundle._a_row(), bundle.dpsi1, bundle.dpsi2],
-                                    2 * bundle.grid.n_modes)
+                                    pad_size(bundle.grid.n_modes, 3))
     r21 = a21 + a22 * d1
     r22 = a22 * (1.0 + d2) - 1.0
     return float(max(np.max(np.abs(r21)), np.max(np.abs(r22))))

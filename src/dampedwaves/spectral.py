@@ -13,14 +13,18 @@ transforms must therefore be real (Hermitian) fields.
 
 Both kinds of real field, a boundary `SpectrumField` (coeffs (N,)) and a
 strip field (coeffs (N, N_z), one boundary spectrum per depth node), share the
-arithmetic, fixed multipliers and padded sampling below, all along axis 0.
+arithmetic, fixed multipliers, sampling and projection below, all along the
+mode axis.
 
-Fourier-multiplier operators (Λ = |n|, ∂₁ = in, heat kernel e^{−κn²}, the
-analytic weight e^{λ|n|}, ...) act diagonally on the coefficients.  Pointwise
-nonlinearities are evaluated on a zero-padded physical grid and projected
-back, which implements two-thirds-rule dealiasing: with padding factor 3/2,
-every retained mode of a quadratic product is the exact projection of the
-true product.
+Fourier-multiplier operators (Λ = |n|, ∂₁ = in, ∂₁², heat kernel e^{−κn²})
+act diagonally on the coefficients.  Every pointwise nonlinearity is
+evaluated the same way: `values_stack` samples its fields on the
+`pad_size(N, degree)` grid, the formula acts on the samples, and
+`project_stack` takes the result back to N modes.  On (degree+1)·N/2 points
+a polynomial of that degree in fields with modes |n| <= N/2−1 aliases onto
+no retained mode, so every retained mode is exact (Orszag's rule; degree 2
+is the two-thirds rule).  Rational factors such as 1/(1+Λh) are sampled as
+degree 3 by convention.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NumericsError, SingularityError
-
-_ZERO_MEAN_TOL = 1e-14
 
 
 def _check_n_modes(n_modes: int) -> None:
@@ -85,19 +87,12 @@ class SpectrumField(RealField):
     """
 
     coeffs: np.ndarray
-    zero_mean: bool = False
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
+        c = np.array(self.coeffs, dtype=np.complex128)  # own copy
         _check_n_modes(c.size)
-        c = c.copy()
         c[c.size // 2] = 0.0  # Nyquist stays zeroed
         object.__setattr__(self, "coeffs", c)
-        if self.zero_mean:
-            scale = np.max(np.abs(c))
-            if scale > 0 and abs(c[0]) > _ZERO_MEAN_TOL * scale:
-                raise ConfigurationError(
-                    f"field flagged zero-mean has coeff(0)={c[0]:.3e}")
 
     def _like(self, coeffs: np.ndarray) -> "SpectrumField":
         return SpectrumField(coeffs)
@@ -160,17 +155,14 @@ def hermitian_fill(half: np.ndarray, n_modes: int) -> np.ndarray:
     return out
 
 
-def transform(samples: np.ndarray) -> SpectrumField:
-    """Forward transform of real samples on the uniform grid."""
-    samples = np.asarray(samples, dtype=float)
-    _check_n_modes(samples.size)
-    return project(samples, samples.size)
+def pad_size(n_modes: int, degree: int) -> int:
+    """Sampling grid of a degree-p nonlinearity: (p+1)·N/2 points, made even.
 
-
-def pad_size(n_modes: int, order: int = 2) -> int:
-    """Grid size that dealiases products of the given polynomial order."""
-    m = (order + 1) * (n_modes // 2 - 1) + 2
-    m = max(m, n_modes)
+    A product of p fields with modes |n| <= K = N/2−1 aliases onto no
+    retained mode once m >= (p+1)K + 1, which (p+1)(K+1) exceeds by p
+    points.  Rational factors are sampled as degree 3.
+    """
+    m = (degree + 1) * (n_modes // 2)
     return m + (m % 2)
 
 
@@ -196,15 +188,27 @@ def values_stack(fields: Sequence[RealField], m: int) -> np.ndarray:
     return np.fft.irfft(half, n=m, axis=-1, norm="forward").swapaxes(1, -1)
 
 
-def project(samples: np.ndarray, n_modes: int) -> SpectrumField:
-    """Project real samples (any even length >= n_modes) onto n_modes."""
-    samples = np.asarray(samples, dtype=float)
-    return SpectrumField(hermitian_fill(np.fft.rfft(samples, norm="forward"), n_modes))
+def project(samples: np.ndarray, like: RealField) -> RealField:
+    """Projection of real samples (m, ...) onto the modes of like's kind and
+    grid; project_stack of one field."""
+    return project_stack(samples[None], like)[0]
+
+
+def project_stack(samples: np.ndarray, like: RealField) -> list[RealField]:
+    """Fields of like's kind and grid from real samples of shape (k, m) or
+    (k, m, N_z) on an m-point grid (m even, m >= N).
+
+    One batched `rfft` along axis 1; the negative modes are filled by
+    conjugation.  Entry i equals project(samples[i], like).
+    """
+    c = np.fft.rfft(samples, axis=1, norm="forward")
+    return [like._like(hermitian_fill(ci, like.n_modes)) for ci in c]
 
 
 def _symbol_values(symbol: Callable[[np.ndarray], np.ndarray],
                    modes: np.ndarray) -> np.ndarray:
-    m = np.asarray(symbol(modes), dtype=np.complex128)
+    """The symbol on the modes, checked finite; real symbols stay real."""
+    m = np.asarray(symbol(modes))
     if not np.all(np.isfinite(m)):
         bad = modes[~np.isfinite(m)]
         raise NumericsError(f"multiplier not finite at mode(s) {bad[:5].tolist()}")
@@ -274,34 +278,31 @@ def pointwise_product(f: SpectrumField, g: SpectrumField) -> SpectrumField:
     if f.n_modes != g.n_modes:
         raise ConfigurationError(
             f"mode-count mismatch: {f.n_modes} vs {g.n_modes}")
-    m = pad_size(f.n_modes, order=2)
-    return project(values_on_grid(f, m) * values_on_grid(g, m), f.n_modes)
+    fv, gv = values_stack([f, g], pad_size(f.n_modes, 2))
+    return project(fv * gv, f)
 
 
 def pointwise_power(f: SpectrumField, n: int) -> SpectrumField:
-    """Dealiased integer power fⁿ (padding matched to the product order)."""
+    """Dealiased integer power fⁿ, sampled as degree n."""
     if n < 1:
         raise ConfigurationError(f"power must be >= 1, got {n}")
-    m = pad_size(f.n_modes, order=n)
-    return project(values_on_grid(f, m) ** n, f.n_modes)
+    return project(values_on_grid(f, pad_size(f.n_modes, n)) ** n, f)
 
 
 def pointwise_apply(func: Callable[..., np.ndarray],
                     *fields: SpectrumField,
-                    pad_factor: float = 2.0,
                     guard: Callable[[np.ndarray], None] | None = None) -> SpectrumField:
     """Evaluate func on padded physical samples of the fields and re-project.
 
     Used for the rational nonlinearities (1/(1+Λh) and friends), which are
-    evaluated pointwise rather than by their geometric series.  `guard`, if
-    given, sees the tuple of sample arrays before evaluation and may raise.
+    evaluated pointwise rather than by their geometric series and sampled as
+    degree 3.  `guard`, if given, sees the sample arrays before evaluation
+    and may raise.
     """
-    n_modes = fields[0].n_modes
-    m = max(pad_size(n_modes, 2), int(np.ceil(pad_factor * n_modes / 2)) * 2)
-    sample_sets = [values_on_grid(f, m) for f in fields]
+    samples = values_stack(fields, pad_size(fields[0].n_modes, 3))
     if guard is not None:
-        guard(*sample_sets)
-    return project(func(*sample_sets), n_modes)
+        guard(*samples)
+    return project(func(*samples), fields[0])
 
 
 def reciprocal_guard(threshold: float = 0.0):

@@ -62,6 +62,15 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match=rf"line {line}: unknown key"):
             cf.parse_config(bad)
 
+    @pytest.mark.parametrize("old, new", [
+        ("[initial]", "[diagnostics]\nnoise_floor_rel = 1e-13\n[initial]"),
+        ("preset = small_two_mode", "preset = single_mode")])
+    def test_removed_keys_and_presets_rejected(self, old, new):
+        bad = MINIMAL.replace(old, new)
+        line = bad.splitlines().index(new.splitlines()[0]) + 1
+        with pytest.raises(ConfigurationError, match=rf"line {line}: unknown"):
+            cf.parse_config(bad)
+
     def test_unknown_section(self):
         with pytest.raises(ConfigurationError, match="unknown section"):
             cf.parse_config(MINIMAL + "\n[physics]\n")
@@ -174,6 +183,28 @@ class TestCli:
         p = tmp_path / "bad.ini"
         p.write_text("[model]\nalpha = -1\n")
         assert run_cli("run", "--config", str(p)) == 2
+
+    @pytest.mark.parametrize("old, new", [
+        ("[initial]", "[output]\nrecord_every = 0\n[initial]"),
+        ("n_depth = 48", "n_depth = 48\ndepth = -1"),
+        ("n_depth = 48", "n_depth = 4"),
+        ("[initial]", "[numerics]\npicard_max_iter = 0\n[initial]"),
+        ("[initial]", "[output]\nsnapshot_every = -1\n[initial]"),
+        ("preset = small_two_mode", "preset = explicit\nh_modes = 0:0.004"),
+    ], ids=["record_every", "depth", "n_depth", "picard_max_iter", "snapshot_every",
+            "h_mode_zero"])
+    def test_invalid_setting_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                               old, new):
+        # rejected before the run starts: exit 2 and nothing written, not a traceback
+        monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
+        text = MINIMAL.replace("n_modes = 64", "n_modes = 8\nn_depth = 48") \
+            .replace("t_final = 1.0", "t_final = 0.01")
+        p = tmp_path / "bad.ini"
+        p.write_text(text.replace(old, new))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(p), "--output-dir", str(out)) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_preset_series_is_zero(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
@@ -317,3 +348,20 @@ def test_benchmark_trace_hooks_find_every_layer(tmp_path, monkeypatch):
                   "elliptic.poisson_divform", "elliptic.second_trace_primary",
                   "diagnostics.compute_records", "cli.cmd_run"):
         assert calls.get(layer, 0) > 0, layer
+
+
+def test_benchmark_elliptic_oracle_passes(tmp_path, monkeypatch):
+    # the steep workload's elliptic check (bench/checks.py) on a small grid
+    from dataclasses import replace
+    monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
+    monkeypatch.syspath_prepend(str(Path(cli.__file__).resolve().parents[2] / "bench"))
+    from checks import check_elliptic, load, solve_final_state
+    from workloads import WORKLOADS, config_text
+
+    wl = replace(WORKLOADS["steep_128x384"], n_modes=32, n_depth=96, steps=1)
+    cfg = tmp_path / "steep.ini"
+    cfg.write_text(config_text(wl, 1))
+    out = tmp_path / "out"
+    code = run_cli("run", "--config", str(cfg), "--output-dir", str(out))
+    assert code == 0
+    assert check_elliptic(*solve_final_state(load(out, code), wl)) == []

@@ -140,15 +140,6 @@ class TestEnergyAndRecords:
         e = [r.energy for r in recs]
         assert all(e[i + 1] >= e[i] - 1e-15 for i in range(len(e) - 1))
 
-    def test_energy_functional_endpoint(self, traj):
-        val = dg.energy_functional(traj, traj.times[-1])
-        recs = dg.compute_records(traj)
-        assert val == pytest.approx(recs[-1].energy, rel=1e-12)
-
-    def test_energy_functional_range_check(self, traj):
-        with pytest.raises(ConfigurationError):
-            dg.energy_functional(traj, traj.times[-1] + 1.0)
-
     def test_lyapunov_decays(self, traj):
         recs = dg.compute_records(traj)
         assert recs[-1].lyapunov < recs[0].lyapunov

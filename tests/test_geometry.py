@@ -30,7 +30,7 @@ class TestHarmonicExtension:
     def test_vertical_trace_is_calderon(self):
         grid = geo.StripGrid(32, depth=8.0, n_depth=129)
         h = random_boundary_field(np.random.default_rng(0), 32, 10)
-        d = geo.harmonic_extension(h, grid, dz_order=1)
+        d = sp.lam(geo.harmonic_extension(h, grid))
         assert np.max(np.abs(d.trace().coeffs - sp.lam(h).coeffs)) < 1e-14
 
     def test_mode_count_checked_on_every_path(self):
@@ -39,7 +39,7 @@ class TestHarmonicExtension:
         with pytest.raises(ConfigurationError, match="mode counts differ"):
             geo.harmonic_extension(h, grid)
         with pytest.raises(ConfigurationError, match="mode counts differ"):
-            geo.harmonic_extension(h, grid, dz_order=1)
+            geo.build_geometry(h, grid)
 
     def test_laplacian_residual_oracle(self):
         grid = geo.StripGrid(32, depth=8.0, n_depth=513)
@@ -83,7 +83,7 @@ class TestGeometryBundle:
         grid = geo.StripGrid(32, depth=8.0, n_depth=65)
         h = sp.cosine(1, 0.1, 32)
         b = geo.build_geometry(h, grid)
-        d2 = geo.harmonic_extension(h, grid, dz_order=1)
+        d2 = sp.lam(geo.harmonic_extension(h, grid))
         assert np.max(np.abs(b.q11.coeffs - d2.coeffs)) == 0.0
 
     def test_q_symmetric_and_zero_iff_flat(self):
@@ -228,11 +228,13 @@ def strip_hermitian_defect(f: geo.StripField) -> float:
 
 
 class TestHalfBand:
-    """values_stack of strip fields / strip_project_stack against the full
-    complex FFT."""
+    """values_stack / project_stack of strip fields against the full complex
+    FFT."""
 
+    # the pad grids of degrees 2–4, the unpadded grid, and 5N/2 − 2 (m/2 odd)
     CASES = [(n, m) for n in (8, 64, 128)
-             for m in sorted({n, sp.pad_size(n, 2), 2 * n, sp.pad_size(n, 4)})]
+             for m in sorted({n, sp.pad_size(n, 2), sp.pad_size(n, 3),
+                              sp.pad_size(n, 4), 5 * n // 2 - 2})]
 
     @pytest.mark.parametrize("n_modes,m", CASES)
     def test_values_match_full_ifft(self, n_modes, m):
@@ -255,7 +257,7 @@ class TestHalfBand:
     def test_project_matches_full_fft(self, n_modes, m):
         grid = geo.StripGrid(n_modes, depth=8.0, n_depth=33)
         samples = np.random.default_rng(n_modes * m).standard_normal((2, m, grid.n_depth))
-        out = geo.strip_project_stack(grid, samples)
+        out = sp.project_stack(samples, geo.zero_strip(grid))
         half = n_modes // 2
         for s, f in zip(samples, out):
             c = np.fft.fft(s, axis=0) / m
@@ -263,6 +265,7 @@ class TestHalfBand:
             ref[:half] = c[:half]
             ref[n_modes - half:] = c[m - half:]
             ref[half] = 0.0
+            assert isinstance(f, geo.StripField) and f.grid == grid
             assert np.max(np.abs(f.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
             assert strip_hermitian_defect(f) == 0.0
             assert np.all(f.coeffs[half] == 0.0)

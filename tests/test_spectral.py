@@ -40,29 +40,29 @@ def random_real_field(seed, n_modes=64, max_mode=20):
 class TestTransform:
     def test_single_mode_identity(self):
         x = sp.grid_points(8)
-        f = sp.transform(np.cos(x))
+        f = sp.project(np.cos(x), sp.zero_field(8))
         assert f.coeff(1) == pytest.approx(0.5, abs=1e-14)
         assert f.coeff(-1) == pytest.approx(0.5, abs=1e-14)
         others = [f.coeff(n) for n in (0, 2, 3, -2, -3)]
         assert np.max(np.abs(others)) < 1e-15
 
     def test_zero_samples(self):
-        f = sp.transform(np.zeros(16))
+        f = sp.project(np.zeros(16), sp.zero_field(16))
         assert np.all(f.coeffs == 0)
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(3)
         s = rng.standard_normal(64)
         # band-limit away the Nyquist mode, then the round trip is exact
-        s = sp.values_on_grid(sp.transform(s))
-        back = sp.values_on_grid(sp.transform(s))
+        s = sp.values_on_grid(sp.project(s, sp.zero_field(64)))
+        back = sp.values_on_grid(sp.project(s, sp.zero_field(64)))
         assert np.max(np.abs(back - s)) < 1e-12 * max(1.0, np.max(np.abs(s)))
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ConfigurationError):
-            sp.transform(np.zeros(7))
+            sp.project(np.zeros(7), sp.zero_field(7))
         with pytest.raises(ConfigurationError):
-            sp.transform(np.zeros(2))
+            sp.project(np.zeros(2), sp.zero_field(2))
 
 
 class TestMultipliers:
@@ -157,6 +157,29 @@ class TestProducts:
         assert np.max(np.abs(p3.coeffs - ref.coeffs)) < 1e-12
 
 
+class TestDealiasing:
+    """pointwise_power on the pad_size(N, p) grid against the exact power."""
+
+    @pytest.mark.parametrize("p", (2, 3, 4))
+    @pytest.mark.parametrize("n_modes", (8, 10, 64))
+    def test_full_band_power_is_truncated_exact_power(self, n_modes, p):
+        # flat spectrum up to K = N/2 − 1, so aliasing from the top modes shows
+        k = n_modes // 2 - 1
+        rng = np.random.default_rng(100 * n_modes + p)
+        band = (rng.standard_normal(2 * k + 1)
+                + 1j * rng.standard_normal(2 * k + 1)) / np.sqrt(k)
+        band = 0.5 * (band + np.conj(band[::-1]))          # modes −K..K, Hermitian
+        c = np.zeros(n_modes, dtype=np.complex128)
+        c[np.arange(-k, k + 1)] = band
+        exact = band
+        for _ in range(p - 1):
+            exact = np.convolve(exact, band)               # modes −jK..jK
+        ref = np.zeros(n_modes, dtype=np.complex128)
+        ref[np.arange(-k, k + 1)] = exact[(p - 1) * k:(p + 1) * k + 1]
+        out = sp.pointwise_power(sp.SpectrumField(c), p)
+        assert np.max(np.abs(out.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestInvariants:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -177,13 +200,6 @@ class TestInvariants:
         out = sp.mollify(f, kappa)
         assert np.all(np.abs(out.coeffs) <= np.abs(f.coeffs) + 1e-30)
 
-    def test_zero_mean_flag_enforced(self):
-        c = np.zeros(16, dtype=np.complex128)
-        c[0] = 1.0
-        c[1] = c[-1] = 0.5
-        with pytest.raises(ConfigurationError):
-            sp.SpectrumField(c, zero_mean=True)
-
     def test_nyquist_always_zero(self):
         c = np.ones(16, dtype=np.complex128)
         f = sp.SpectrumField(c)
@@ -193,8 +209,10 @@ class TestInvariants:
 class TestHalfBand:
     """The rfft/irfft transforms against the full complex FFT formulas."""
 
+    # the pad grids of degrees 2–4, the unpadded grid, and 5N/2 − 2 (m/2 odd)
     CASES = [(n, m) for n in (8, 64, 128)
-             for m in sorted({n, sp.pad_size(n, 2), 2 * n, sp.pad_size(n, 4)})]
+             for m in sorted({n, sp.pad_size(n, 2), sp.pad_size(n, 3),
+                              sp.pad_size(n, 4), 5 * n // 2 - 2})]
 
     @pytest.mark.parametrize("n_modes,m", CASES)
     def test_values_stack_matches_full_ifft(self, n_modes, m):
@@ -210,15 +228,12 @@ class TestHalfBand:
     def test_project_matches_full_fft(self, n_modes, m):
         rng = np.random.default_rng(n_modes + m)
         samples = rng.standard_normal(m)
-        out = sp.project(samples, n_modes)
+        out = sp.project(samples, sp.zero_field(n_modes))
         ref = full_truncate(np.fft.fft(samples) / m, n_modes)
+        assert isinstance(out, sp.SpectrumField)
         assert np.max(np.abs(out.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert out.hermitian_defect() == 0.0
         assert out.coeffs[n_modes // 2] == 0.0
-        if m == n_modes:
-            t = sp.transform(samples)
-            assert np.max(np.abs(t.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
-            assert t.hermitian_defect() == 0.0
 
     def test_hermitian_fill_layout(self):
         half = np.array([1.0, 2 + 1j, 3 - 2j, 4j, 99.0])   # entries past N/2 ignored
@@ -237,7 +252,7 @@ class TestPointwiseApply:
 
     def test_rational_evaluation(self):
         v = sp.cosine(1, 0.25, 64)
-        out = sp.pointwise_apply(lambda x: 1.0 / (1.0 + x), v, pad_factor=4.0)
+        out = sp.pointwise_apply(lambda x: 1.0 / (1.0 + x), v)
         x = sp.grid_points(64)
         ref = 1.0 / (1.0 + 0.25 * np.cos(x))
         assert np.max(np.abs(sp.values_on_grid(out) - ref)) < 1e-10
