@@ -243,13 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# glibc mallopt parameters and the values main sets.  A 64 × 192 complex strip
-# array is 196 KB, above glibc's default 128 KiB mmap threshold (which glibc
-# raises only once it sees such blocks freed), so without these settings
-# whether a step's temporaries are mmapped and faulted in afresh, and whether
-# freed heap tops go back to the kernel, depends on incidental allocation
-# order: up to about 3,500 minor page faults per step.  Both settings are
-# needed to keep the temporaries on a heap reused from step to step.
+# glibc mallopt parameters and the values main sets.  At 64 × 192 a strip's
+# samples on the degree-2 grid (96 × 192 reals) take 147 KB and the sample
+# stacks several times that, above glibc's default 128 KiB mmap threshold
+# (which glibc raises only once it sees such blocks freed).  So without these
+# settings whether a step's temporaries are mmapped and faulted in afresh, and
+# whether freed heap tops go back to the kernel, depends on incidental
+# allocation order: up to about 3,500 minor page faults per step.  Both
+# settings are needed to keep the temporaries on a heap reused from step to
+# step.
 _M_TRIM_THRESHOLD, _TRIM_BYTES = -1, 1 << 30
 _M_MMAP_THRESHOLD, _MMAP_BYTES = -3, 32 << 20     # glibc's maximum on 64-bit
 

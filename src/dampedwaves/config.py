@@ -7,6 +7,7 @@ with the offending line number, so archived experiment files stay auditable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
@@ -60,6 +61,9 @@ class RunConfig:
             raise ConfigurationError(
                 f"analyticity diagnostics need mu < alpha/2 "
                 f"(mu={self.params.mu}, alpha={self.params.alpha})")
+        if self.picard_tol is not None and not self.picard_tol > 0:
+            raise ConfigurationError(
+                f"picard_tol must be positive, got {self.picard_tol}")
         if self.picard_max_iter < 1:
             raise ConfigurationError(
                 f"picard_max_iter must be >= 1, got {self.picard_max_iter}")
@@ -98,6 +102,8 @@ def _parse_mode_list(text: str, line: int) -> tuple[tuple[int, float, float], ..
             phase = float(parts[2]) if len(parts) == 3 else 0.0
         except ValueError as exc:
             raise ConfigurationError(f"line {line}: bad mode entry {chunk!r}") from exc
+        if not (math.isfinite(amp) and math.isfinite(phase)):
+            raise ConfigurationError(f"line {line}: non-finite mode entry {chunk!r}")
         out.append((n, amp, phase))
     return tuple(out)
 
@@ -111,10 +117,13 @@ def _coerce(raw: str, typ: type, where: str, line: int):
             if low in ("false", "no", "off", "0"):
                 return False
             raise ValueError(raw)
-        return typ(raw)
+        value = typ(raw)
     except ValueError as exc:
         raise ConfigurationError(
             f"line {line}: cannot parse {where} = {raw!r} as {typ.__name__}") from exc
+    if typ is float and not math.isfinite(value):
+        raise ConfigurationError(f"line {line}: {where} = {raw!r} is not finite")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -171,8 +180,9 @@ def parse_config(text: str) -> RunConfig:
             kv[name] = _parse_mode_list(str(init[name]),
                                         mode_lines[f"initial.{name}"])
     if "picard_tol" in kv:
-        raw = str(kv["picard_tol"]).lower()
-        kv["picard_tol"] = None if raw == "auto" else float(raw)
+        raw = str(kv["picard_tol"])
+        kv["picard_tol"] = None if raw.lower() == "auto" else _coerce(
+            raw, float, "numerics.picard_tol", mode_lines["numerics.picard_tol"])
     try:
         return RunConfig(params=params, **kv)   # type: ignore[arg-type]
     except ConfigurationError:

@@ -293,7 +293,7 @@ def check_A_deviation(b: SpectrumField, s: float, lam_: float,
     """
     from .norms import wiener_norm
     d1, d2 = values_stack([dx(b), lam(b)], pad_size(b.n_modes, 4))
-    a21, a22 = project_stack(np.array([-d1 / (1.0 + d2), -d2 / (1.0 + d2)]), b)
+    a21, a22 = project_stack([-d1 / (1.0 + d2), -d2 / (1.0 + d2)], b)
     spec = NormSpec(s, lam_)
     lhs = wiener_norm(a21, spec) + wiener_norm(a22, spec)
     denom = wiener_norm(lam(b), spec)

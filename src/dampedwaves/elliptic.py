@@ -4,20 +4,21 @@ The transformed potential problem splits as φ = φ₁ + φ₂ where
 φ₁ = e^{x₂Λ}ξ carries the Dirichlet data and φ₂ solves the divergence-form
 problem Δφ₂ = −∇·(Q ∇(φ₁ + φ₂)) with zero trace, Q = JAAᵀ − Id.
 
-The Poisson solver uses the periodic half-strip Green's kernels.  For mode
-k ≠ 0 and forcing b = ∇·g, the textbook kernel solution is rewritten (by
-integrating the ∇·g terms by parts) in a damped form in which every
-exponential has a nonpositive exponent:
+The Poisson solver uses the periodic half-strip Green's kernels on the
+stored modes n = 0..N/2−1 of the strip fields.  For a mode n > 0 and forcing
+b = ∇·g, the textbook kernel solution is rewritten (by integrating the ∇·g
+terms by parts) in a damped form in which every exponential has a
+nonpositive exponent, and ĝ₁, ĝ₂ enter only through two combinations:
 
-    φ̂(k,x₂)  = (i·sgn k/2)(E·J₁ − A₁ − B₁) − (1/2)(E·J₂ − A₂ + B₂)
-    ∂₂φ̂(k,x₂) = ĝ₂ + (ik/2)(E·J₁ + A₁ − B₁) − (|k|/2)(E·J₂ + A₂ + B₂)
+    φ̂(n,x₂)  = ½(E·U(0) − U − D)
+    ∂₂φ̂(n,x₂) = ĝ₂ + (n/2)(E·U(0) + U − D)
 
-with E = e^{|k|x₂}, Jᵢ = ∫_{−L}^0 ĝᵢ e^{|k|y}dy, Aᵢ(x₂) = ∫_{−L}^{x₂} ĝᵢ
-e^{|k|(y−x₂)}dy and Bᵢ(x₂) = ∫_{x₂}^0 ĝᵢ e^{|k|(x₂−y)}dy.  The cumulative
-integrals are evaluated by product-trapezoid prefix recursions (exact
-exponential kernel against piecewise-linear data), O(N_z) per mode and
-second-order accurate uniformly in |k|.  Mode 0 degenerates (the kernels
-carry 1/|k|) and is solved by direct integration of ∂₂g₂.
+with E = e^{nx₂}, the upward prefix U(x₂) = ∫_{−L}^{x₂} (iĝ₁ − ĝ₂)
+e^{n(y−x₂)}dy and the downward prefix D(x₂) = ∫_{x₂}^0 (iĝ₁ + ĝ₂)
+e^{n(x₂−y)}dy.  The two prefixes are evaluated by product-trapezoid
+recursions (exact exponential kernel against piecewise-linear data), O(N_z)
+per mode and second-order accurate uniformly in n.  Mode 0 degenerates (the
+kernels carry 1/n) and is solved by direct integration of ∂₂g₂.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractionError
 from .geometry import (GeometryBundle, StripField, StripGrid, extension_profile,
-                       fd_derivative, harmonic_extension, zero_strip)
+                       fd_derivative, harmonic_extension, mode_multiplicity,
+                       zero_strip)
 from .norms import NormSpec, strip_norm
-from .spectral import (SpectrumField, dx, dxx, hermitian_fill, lam, pad_size,
-                       project, project_stack, values_stack)
+from .spectral import (SpectrumField, dx, dxx, lam, pad_size, project,
+                       project_stack, values_stack)
 
 
 def solve_phi1(xi: SpectrumField, grid: StripGrid) -> StripField:
@@ -66,9 +68,9 @@ def _product_trapezoid_weights(theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 @lru_cache(maxsize=16)
 def _prefix_weights(grid: StripGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w0, w1, e^{−θ}) at θ = |n|·dz for the modes 0..N/2−1, the per-grid
-    constants of the prefix loop."""
-    theta = np.abs(grid.modes[:grid.n_modes // 2]).astype(float) * grid.dz
+    """(w0, w1, e^{−θ}) at θ = n·dz for the stored modes 0..N/2−1, the
+    per-grid constants of the prefix loop."""
+    theta = grid.modes.astype(float) * grid.dz
     w0, w1 = _product_trapezoid_weights(theta)
     return w0, w1, np.exp(-theta)
 
@@ -84,65 +86,53 @@ class PoissonSolution:
 
     @property
     def dz_trace(self) -> SpectrumField:
-        return SpectrumField(self.dzphi.coeffs[:, -1])
+        return self.dzphi.trace()
 
 
 def poisson_divform(g1: StripField, g2: StripField,
                     tail_tol: float = 1e-6) -> PoissonSolution:
-    """Solve Δφ = ∇·(g₁, g₂) on the truncated strip; see module docstring.
-
-    g₁ and g₂ must be real fields, i.e. Hermitian in the mode index: the
-    kernels run on the modes 0..N/2−1 only, and φ, ∂₂φ get their negative
-    modes by conjugation (full storage, half-band work).
-    """
+    """Solve Δφ = ∇·(g₁, g₂) on the truncated strip; see module docstring."""
     grid = g1.grid
     if g2.grid != grid:
         raise ConfigurationError("g components live on different grids")
-    half = grid.n_modes // 2
-    n = grid.modes[:half].astype(float)          # 0..N/2−1, so |n| = n
+    n = grid.modes.astype(float)                 # 0..N/2−1, so |n| = n
     nz = grid.n_depth
     dz = grid.dz
+    f1, f2 = g1.coeffs, g2.coeffs
 
-    f = np.array([g1.coeffs[:half], g2.coeffs[:half]])   # (2, N/2, Nz)
-    scale = np.max(np.abs(f))
-    tail_defect = float(np.max(np.abs(f[:, :, 0])) / scale) if scale > 0 else 0.0
+    scale = max(np.max(np.abs(f1)), np.max(np.abs(f2)))
+    tail = max(np.max(np.abs(f1[:, 0])), np.max(np.abs(f2[:, 0])))
+    tail_defect = float(tail / scale) if scale > 0 else 0.0
     if tail_defect > tail_tol:
         warnings.warn(
             f"forcing has not decayed at depth -L_d (relative size {tail_defect:.2e}); "
             "truncation error exceeds tail_tol", stacklevel=2)
 
     w0, w1, damp = _prefix_weights(grid)
+    ig1 = 1j * f1
+    up = ig1 - f2
+    dn = ig1 + f2
 
-    inc_up = dz * (w0[None, :, None] * f[:, :, :-1] + w1[None, :, None] * f[:, :, 1:])
-    inc_dn = dz * (w1[None, :, None] * f[:, :, :-1] + w0[None, :, None] * f[:, :, 1:])
-
-    # one combined prefix loop: rows 0..1 accumulate upward (A), rows 2..3
-    # accumulate the depth-reversed downward integrals (B); depth-major
-    # storage makes each step two contiguous ufunc calls on prebuilt row views
-    stacked = np.zeros((nz, 4, half), dtype=np.complex128)
-    stacked[1:, :2] = inc_up.transpose(2, 0, 1)
-    stacked[1:, 2:] = inc_dn[:, :, ::-1].transpose(2, 0, 1)
+    # one combined prefix loop: row 0 accumulates U upward, row 1 the
+    # depth-reversed D; depth-major storage makes each step two contiguous
+    # ufunc calls on prebuilt row views
+    stacked = np.zeros((nz, 2, n.size), dtype=np.complex128)
+    stacked[1:, 0] = (dz * (w0[:, None] * up[:, :-1] + w1[:, None] * up[:, 1:])).T
+    stacked[:0:-1, 1] = (dz * (w1[:, None] * dn[:, :-1] + w0[:, None] * dn[:, 1:])).T
     rows = list(stacked)
     tmp = np.empty_like(rows[0])
     for prev, cur in zip(rows[1:-1], rows[2:]):
         np.multiply(damp, prev, tmp)
         np.add(cur, tmp, cur)
-    stacked = stacked.transpose(1, 2, 0)
-    a = stacked[:2]
-    b = stacked[2:, :, ::-1]
+    u = stacked[:, 0].T
+    d = stacked[::-1, 1].T
 
-    j0 = a[:, :, -1]
-    e_prof = extension_profile(grid)[:half]
-    isg = 1j * np.sign(n)
-
-    phi = (0.5 * isg[:, None] * (e_prof * j0[0][:, None] - a[0] - b[0])
-           - 0.5 * (e_prof * j0[1][:, None] - a[1] + b[1]))
-    dzphi = (f[1]
-             + 0.5 * (1j * n)[:, None] * (e_prof * j0[0][:, None] + a[0] - b[0])
-             - 0.5 * n[:, None] * (e_prof * j0[1][:, None] + a[1] + b[1]))
+    eu0 = extension_profile(grid) * u[:, -1:]   # E·U(0)
+    phi = 0.5 * (eu0 - u - d)
+    dzphi = f2 + 0.5 * n[:, None] * (eu0 + u - d)
 
     # mode 0: φ'' = ∂₂ĝ₂ integrated directly with φ(0) = 0, φ' → ĝ₂ (decaying)
-    g20 = f[1, 0, :]
+    g20 = f2[0, :]
     flux = abs(g20[0])
     flux_flag = bool(scale > 0 and flux > tail_tol * scale)
     if flux_flag:
@@ -154,8 +144,7 @@ def poisson_divform(g1: StripField, g2: StripField,
     phi[0, :] = prim - prim[-1]
     dzphi[0, :] = g20
 
-    return PoissonSolution(phi=StripField(grid, hermitian_fill(phi, grid.n_modes)),
-                           dzphi=StripField(grid, hermitian_fill(dzphi, grid.n_modes)),
+    return PoissonSolution(phi=StripField(grid, phi), dzphi=StripField(grid, dzphi),
                            flux_flag=flux_flag, tail_defect=tail_defect)
 
 
@@ -188,13 +177,16 @@ class EllipticSolution:
         defect in the solver's own discretization (computed on read)."""
         u1 = dx(self.phi1 + self.phi2)
         u2 = lam(self.phi1) + self.dzphi2
-        grad_rms = max(_rms(u1.coeffs), _rms(u2.coeffs))
-        defect = _rms(discrete_laplacian(self.last_increment).coeffs)
+        grad_rms = max(_rms(u1), _rms(u2))
+        defect = _rms(discrete_laplacian(self.last_increment))
         return defect / grad_rms if grad_rms > 0 else 0.0
 
 
-def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.abs(x) ** 2)))
+def _rms(u: StripField) -> float:
+    """RMS of u's coefficients over the full spectrum, N modes × N_z nodes."""
+    grid = u.grid
+    total = mode_multiplicity(grid.n_modes) @ (np.abs(u.coeffs) ** 2).sum(axis=1)
+    return float(np.sqrt(total / (grid.n_modes * grid.n_depth)))
 
 
 def discrete_laplacian(u: StripField, acc: int = 4) -> StripField:
@@ -231,8 +223,8 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     converged = False
     for _ in range(max_iter):
         u1v, u2v = values_stack([dx(phi1 + phi2), dz1 + dz2], m)
-        g1, g2 = project_stack(np.array([-(q11v * u1v + q12v * u2v),
-                                         -(q12v * u1v + q22v * u2v)]), phi1)
+        g1, g2 = project_stack([-(q11v * u1v + q12v * u2v),
+                                -(q12v * u1v + q22v * u2v)], phi1)
         sol = poisson_divform(g1, g2)
         last_inc_field = sol.phi - phi2
         inc = strip_norm(last_inc_field, NormSpec(0.0, 0.0, 0))
@@ -273,9 +265,9 @@ def gradient_norm(phi1: StripField, phi2: StripField, dzphi2: StripField,
     u2 = lam(phi1) + dzphi2
     dens = np.abs(u1.coeffs) ** 2 + np.abs(u2.coeffs) ** 2
     per_mode = np.trapezoid(dens, dx=grid.dz, axis=1)
-    decay = 2.0 * np.maximum(np.abs(grid.modes).astype(float), 1.0)
-    per_mode = per_mode + dens[:, 0] / decay
-    w = (1.0 + np.abs(grid.modes).astype(float)) ** (2.0 * s)
+    n = grid.modes.astype(float)
+    per_mode = per_mode + dens[:, 0] / (2.0 * np.maximum(n, 1.0))
+    w = mode_multiplicity(grid.n_modes) * (1.0 + n) ** (2.0 * s)
     return float(np.sum(w * per_mode))
 
 
@@ -314,8 +306,7 @@ def second_trace_primary(bundle: GeometryBundle, xi: SpectrumField,
 
 def second_trace_kernel(g1: StripField, g2: StripField, acc: int = 4) -> SpectrumField:
     """Cross-check route: (∇·g)|₀ with a one-sided FD stencil for ∂₂ĝ₂|₀."""
-    dg2 = fd_derivative(g2.coeffs, g2.grid.dz, 1, acc)[:, -1]
-    return dx(g1.trace()) + SpectrumField(dg2)
+    return dx(g1.trace()) + g2.deriv_z(1, acc=acc).trace()
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +326,13 @@ def ale_laplacian_residual(bundle: GeometryBundle, phi1: StripField,
     u2 = lam(phi1) + dzphi2
     q11v, q12v, q22v, u1v, u2v = values_stack(
         [bundle.q11, bundle.q12, bundle.q22, u1, u2], m)
-    f1, f2 = project_stack(np.array([q11v * u1v + q12v * u2v,
-                                     q12v * u1v + q22v * u2v]), phi2)
+    f1, f2 = project_stack([q11v * u1v + q12v * u2v,
+                            q12v * u1v + q22v * u2v], phi2)
     lapl = discrete_laplacian(phi2, acc=acc)
     div = dx(f1) + f2.deriv_z(1, acc=acc)
     res = lapl + div
     interior = res.coeffs[:, 2:-2]     # edge stencil rows excluded
-    grad_rms = max(_rms(u1.coeffs), _rms(u2.coeffs))
+    grad_rms = max(_rms(u1), _rms(u2))
     return float(np.max(np.abs(interior))), grad_rms
 
 

@@ -30,6 +30,7 @@ remainder is advanced explicitly at second order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,7 +116,7 @@ def evaluate_rhs(state: SimState, params: ModelParams, grid: StripGrid,
     quad = -0.5 * params.epsilon * (a1phi ** 2 + a2phi ** 2)
     diss = -params.alpha * ((lam2xi + t2) / w ** 2 - lam2b * p2 / w ** 3)
     mixed = params.epsilon * a2phi * (kin + params.alpha * h2x)
-    kin_hat, nonlin_hat = project_stack(np.array([kin, quad + diss + mixed]), h)
+    kin_hat, nonlin_hat = project_stack([kin, quad + diss + mixed], h)
 
     h_t = mollify(kin_hat, params.kappa) + \
         params.alpha * dxx(mollify(hk, params.kappa))
@@ -163,8 +164,24 @@ def linear_propagator(n: int, alpha: float, dt: float) -> np.ndarray:
 def linear_rhs_arrays(u: np.ndarray, modes: np.ndarray, alpha: float,
                       kappa: float = 0.0) -> np.ndarray:
     """M·u for the stacked state u = (ξ̂, ĥ)."""
-    a, b, c = _linear_factors(modes, alpha, kappa)
+    return _apply_linear(_linear_factors(modes, alpha, kappa), u)
+
+
+def _apply_linear(factors, u: np.ndarray) -> np.ndarray:
+    a, b, c = factors
     return np.array([-a * u[0] - c * u[1], b * u[0] - a * u[1]])
+
+
+@lru_cache(maxsize=16)
+def _step_tables(n_modes: int, alpha: float, dt: float, kappa: float):
+    """The step's propagator entries and M's factors, built once per
+    (N, α, dt, κ) (shared, read-only)."""
+    modes = mode_numbers(n_modes)
+    tables = (propagator_entries(modes, alpha, dt, kappa),
+              _linear_factors(modes, alpha, kappa))
+    for arr in (*tables[0], *tables[1]):
+        arr.setflags(write=False)
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +219,7 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    modes = mode_numbers(state.n_modes)
-    p = propagator_entries(modes, params.alpha, dt, params.kappa)
+    p, factors = _step_tables(state.n_modes, params.alpha, dt, params.kappa)
     u0 = _pack(state)
     iters = 0
     bulk = None
@@ -216,15 +232,13 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
         if record:
             bulk = gradient_norm(r0.solution.phi1, r0.solution.phi2,
                                  r0.solution.dzphi2)
-        k1 = np.array([r0.xi_t.coeffs, r0.h_t.coeffs]) - \
-            linear_rhs_arrays(u0, modes, params.alpha, params.kappa)
+        k1 = np.array([r0.xi_t.coeffs, r0.h_t.coeffs]) - _apply_linear(factors, u0)
         del r0                                # freed before the second solve
         u_pred = _apply(p, u0 + dt * k1)
         pred = _unpack(u_pred, state.t + dt)
         r1 = evaluate_rhs(pred, params, grid, opts)
         iters = max(iters, r1.solution.picard_iters)
-        k2 = np.array([r1.xi_t.coeffs, r1.h_t.coeffs]) - \
-            linear_rhs_arrays(u_pred, modes, params.alpha, params.kappa)
+        k2 = np.array([r1.xi_t.coeffs, r1.h_t.coeffs]) - _apply_linear(factors, u_pred)
         u1 = _apply(p, u0) + 0.5 * dt * (_apply(p, k1) + k2)
 
     drift = abs(u1[1][0])

@@ -11,12 +11,14 @@ depth grid.  Given an interface b (the boundary trace used for flattening),
 Everything is stored mode-wise; derivatives of the harmonic extension are
 the shared multipliers `spectral.dx` (in) and `spectral.lam` (|n|), and
 finite-difference stencils are reserved for residual checks.  Strip fields
-are real, so their columns are Hermitian in the mode index: storage keeps all
-N modes, while transforms work on the modes 0..N/2−1 and fill the rest by
-conjugation.  A strip field is a stack of boundary spectra, one per depth
-node: its arithmetic, multipliers (`spectral.lam`, `dx`, ...), sampling
-(`spectral.values_stack`) and projection (`spectral.project_stack`) are the
-boundary fields' own, from `spectral`.
+are real, so their columns are Hermitian in the mode index: a strip field
+stores only the modes 0..N/2−1, coeffs (N/2, N_z), and its trace is the one
+place the negative modes are written (by `spectral.hermitian_fill`).  Sums
+over the full spectrum weight the stored modes by `mode_multiplicity`.  A
+strip field is a stack of half spectra, one per depth node: its arithmetic,
+multipliers (`spectral.lam`, `dx`, ...), sampling (`spectral.values_stack`)
+and projection (`spectral.project_stack`) are the boundary fields' own, from
+`spectral`.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DiffeomorphismError
-from .spectral import (RealField, SpectrumField, _check_n_modes, dx, lam,
-                       mode_numbers, pad_size, project, project_stack,
-                       values_on_grid, values_stack)
+from .spectral import (RealField, SpectrumField, _check_n_modes, dx,
+                       hermitian_fill, lam, mode_numbers, pad_size, project,
+                       project_stack, values_on_grid, values_stack)
 
 
 @dataclass(frozen=True)
@@ -58,15 +60,29 @@ class StripGrid:
 
     @property
     def modes(self) -> np.ndarray:
-        return mode_numbers(self.n_modes)
+        """The modes a strip field stores, 0..N/2−1 (shared, read-only)."""
+        return mode_numbers(self.n_modes)[:self.n_modes // 2]
+
+
+@lru_cache(maxsize=None)
+def mode_multiplicity(n_modes: int) -> np.ndarray:
+    """How often each stored mode 0..N/2−1 occurs in the full spectrum: 1 for
+    mode 0, 2 for ±n (the Nyquist mode is zero).  A sum over the full
+    spectrum of a quantity even in n is this weighted sum over the stored
+    modes (shared, read-only)."""
+    w = np.full(n_modes // 2, 2.0)
+    w[0] = 1.0
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)
 class StripField(RealField):
-    """Scalar field on the strip, one Fourier column per mode.
+    """Scalar field on the strip, one Fourier row per stored mode.
 
-    coeffs has shape (n_modes, n_depth); Hermitian symmetry in the mode index
-    holds at every depth node for real fields.
+    coeffs has shape (n_modes // 2, n_depth): the modes 0..N/2−1 at every
+    depth node; the negative modes are their conjugates and the Nyquist mode
+    is zero.
     """
 
     grid: StripGrid
@@ -74,19 +90,25 @@ class StripField(RealField):
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=np.complex128)  # own copy
-        if c.shape != (self.grid.n_modes, self.grid.n_depth):
+        if c.shape != (self.grid.n_modes // 2, self.grid.n_depth):
             raise ConfigurationError(
                 f"coeff shape {c.shape} does not match grid "
-                f"({self.grid.n_modes}, {self.grid.n_depth})")
-        c[self.grid.n_modes // 2, :] = 0.0
+                f"({self.grid.n_modes // 2}, {self.grid.n_depth})")
         object.__setattr__(self, "coeffs", c)
+
+    @property
+    def n_modes(self) -> int:
+        return self.grid.n_modes
 
     def _like(self, coeffs: np.ndarray) -> "StripField":
         return StripField(self.grid, coeffs)
 
+    def _from_half(self, half: np.ndarray) -> "StripField":
+        return StripField(self.grid, half[:self.grid.n_modes // 2])
+
     def trace(self) -> SpectrumField:
-        """Boundary values at x₂ = 0."""
-        return SpectrumField(self.coeffs[:, -1])
+        """Boundary values at x₂ = 0, in the full layout."""
+        return SpectrumField(hermitian_fill(self.coeffs[:, -1], self.grid.n_modes))
 
     def deriv_z(self, order: int = 1, acc: int = 4) -> "StripField":
         """Vertical derivative by finite differences (residual checks only)."""
@@ -102,7 +124,7 @@ def _depth_nodes(depth: float, n_depth: int) -> np.ndarray:
 
 
 def zero_strip(grid: StripGrid) -> StripField:
-    return StripField(grid, np.zeros((grid.n_modes, grid.n_depth), dtype=np.complex128))
+    return StripField(grid, np.zeros((grid.n_modes // 2, grid.n_depth), dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +195,8 @@ def fd_derivative(values: np.ndarray, dz: float, deriv: int, acc: int = 4) -> np
 
 @lru_cache(maxsize=16)
 def extension_profile(grid: StripGrid) -> np.ndarray:
-    """e^{|n|x₂}, shape (n_modes, n_depth) (shared, read-only)."""
+    """e^{|n|x₂} on the stored modes, shape (n_modes // 2, n_depth) (shared,
+    read-only)."""
     prof = np.exp(np.abs(grid.modes.astype(float))[:, None] * grid.z[None, :])
     prof.setflags(write=False)
     return prof
@@ -184,7 +207,7 @@ def harmonic_extension(h: SpectrumField, grid: StripGrid) -> StripField:
     δψ̂(n,x₂) = e^{|n|x₂}ĥ(n); its derivatives ∂₁ and ∂₂ are dx and lam."""
     if h.n_modes != grid.n_modes:
         raise ConfigurationError("interface and grid mode counts differ")
-    return StripField(grid, extension_profile(grid) * h.coeffs[:, None])
+    return StripField(grid, extension_profile(grid) * h.coeffs[:grid.n_modes // 2, None])
 
 
 @dataclass(frozen=True)
@@ -223,7 +246,7 @@ class GeometryBundle:
     def _a_row(self) -> list[StripField]:
         d1, d2 = values_stack([self.dpsi1, self.dpsi2], pad_size(self.grid.n_modes, 3))
         j = 1.0 + d2
-        return project_stack(np.array([-d1 / j, 1.0 / j]), self.dpsi1)
+        return project_stack([-d1 / j, 1.0 / j], self.dpsi1)
 
     @property
     def j_field(self) -> StripField:

@@ -4,7 +4,9 @@ Boundary norm:   |v|_{s,λ} = Σ_n (1+|n|)^s e^{λ|n|} |v̂(n)|
 Strip norm:      ‖u‖_{s,k,λ} = Σ_n (1+|n|)^s e^{λ|n|} ∫_{−∞}^0 |∂₂^k û(n,x₂)| dx₂
 Sobolev norm:    |h|_s² = Σ_n (1+|n|^s)² |ĥ(n)|²
 
-All sums run over the represented (truncated) mode set.  Strip integrals use
+All sums run over the represented (truncated) mode set; for strip fields,
+which store the modes 0..N/2−1, that is the sum weighted by
+`geometry.mode_multiplicity`.  Strip integrals use
 composite trapezoid on [−L_d, 0] plus a modeled tail (each mode is assumed to
 keep decaying like e^{max(1,|n|)x₂} below the truncation depth, which is
 exact for harmonic-extension-type fields).
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericsError
-from .geometry import StripField, StripGrid, harmonic_extension
+from .geometry import StripField, StripGrid, harmonic_extension, mode_multiplicity
 from .spectral import (SpectrumField, lam, pointwise_apply, pointwise_power,
                        pointwise_product, reciprocal_guard)
 
@@ -89,10 +91,10 @@ def strip_norm_report(u: StripField, spec: NormSpec, acc: int = 4) -> tuple[floa
     a = np.abs(d)
     if not np.all(np.isfinite(a)):
         raise NumericsError("non-finite value in strip_norm")
-    per_mode = np.trapezoid(a, dx=u.grid.dz, axis=1)
-    decay = np.maximum(np.abs(u.grid.modes).astype(float), 1.0)
-    tail_per_mode = a[:, 0] / decay
-    w = _weights(u.grid.modes, spec.s, spec.lam)
+    grid = u.grid
+    per_mode = np.trapezoid(a, dx=grid.dz, axis=1)
+    tail_per_mode = a[:, 0] / np.maximum(grid.modes.astype(float), 1.0)
+    w = mode_multiplicity(grid.n_modes) * _weights(grid.modes, spec.s, spec.lam)
     tail = float(np.sum(w * tail_per_mode))
     return float(np.sum(w * per_mode)) + tail, tail
 
@@ -236,8 +238,7 @@ def check_trace_inequality(u: StripField, s: float, lam_: float,
     return InequalityReport.compare(lhs, rhs, 1.0, slack)
 
 
-def check_semigroup_multiplier(v: SpectrumField, grid: StripGrid, s: float,
-                               lam_: float, j: int = 1,
+def check_semigroup_multiplier(v: SpectrumField, s: float, lam_: float, j: int = 1,
                                slack: float = DEFAULT_SLACK) -> InequalityReport:
     """‖e^{x₂Λ}v‖_{s,j,λ} <= |Λ^{j−1}v|_{s,λ}: the multiplier lemma at f = exp.
 
@@ -247,9 +248,9 @@ def check_semigroup_multiplier(v: SpectrumField, grid: StripGrid, s: float,
     """
     if j < 1:
         raise ConfigurationError("vertical derivative count j must be >= 1")
-    absn = np.abs(grid.modes).astype(float)
+    absn = np.abs(v.modes).astype(float)
     per_mode = absn ** (j - 1) * np.abs(v.coeffs)   # includes the exact tail
-    lhs = float(np.sum(_weights(grid.modes, s, lam_) * per_mode))
+    lhs = float(np.sum(_weights(v.modes, s, lam_) * per_mode))
     rhs = wiener_norm(lam(v, float(j - 1)), NormSpec(s, lam_))
     return InequalityReport.compare(lhs, rhs, 1.0, slack)
 
@@ -265,9 +266,9 @@ def check_extension_chain(xi: SpectrumField, grid: StripGrid, r: float, s: float
     if i not in (1, 2):
         raise ConfigurationError("derivative direction i must be 1 or 2")
     phi1 = harmonic_extension(xi, grid)
-    n = grid.modes.astype(float)
+    n = xi.modes.astype(float)
     sym = (1j * n) if i == 1 else np.abs(n)
-    trace = SpectrumField(sym * np.abs(n) ** j * (np.abs(n) ** r) * phi1.coeffs[:, -1])
+    trace = SpectrumField(sym * np.abs(n) ** j * (np.abs(n) ** r) * phi1.trace().coeffs)
     lhs = wiener_norm(trace, NormSpec(s, lam_))
     rhs = wiener_norm(lam(xi, r + j + 1), NormSpec(s, lam_))
     return InequalityReport.compare(lhs, rhs, 1.0, slack)

@@ -1,20 +1,21 @@
-"""Periodic Fourier representation of boundary functions.
+"""Periodic Fourier representation of real fields.
 
-A real 2π-periodic function v(x₁) is stored by its Fourier coefficients
-v̂(n), n ∈ [−N/2, N/2), in numpy FFT layout.  The Nyquist entry (n = −N/2,
-unpaired for even N) is kept at zero so that every multiplier m(n) acts on a
-symmetric mode set and real fields stay real.
+A real 2π-periodic function v(x₁) is a boundary `SpectrumField`: its Fourier
+coefficients v̂(n), n ∈ [−N/2, N/2), in numpy FFT layout, coeffs (N,).  The
+Nyquist entry (n = −N/2, unpaired for even N) is kept at zero so that every
+multiplier m(n) acts on a symmetric mode set and real fields stay real.
 
 Every field is real, so its coefficients are Hermitian: v̂(−n) = conj v̂(n).
-Storage keeps the full layout, but transforms work on the half band: values
-come from the modes 0..N/2−1 by `irfft`, samples go back by `rfft`, and
-`hermitian_fill` writes the negative modes of every result.  Inputs to these
-transforms must therefore be real (Hermitian) fields.
+A strip field (`geometry.StripField`, one spectrum per depth node) stores
+only the modes 0..N/2−1, coeffs (N/2, N_z), so it is Hermitian by
+construction; a boundary field keeps the full layout.  Transforms work on
+the half band for both: values come from the modes 0..N/2−1 by `irfft`,
+samples go back by `rfft`, and `hermitian_fill` writes the negative modes of
+boundary results only.
 
-Both kinds of real field, a boundary `SpectrumField` (coeffs (N,)) and a
-strip field (coeffs (N, N_z), one boundary spectrum per depth node), share the
-arithmetic, fixed multipliers, sampling and projection below, all along the
-mode axis.
+Both kinds of real field share the arithmetic, fixed multipliers, sampling
+and projection below, all along the mode axis; each kind rebuilds itself
+from the modes 0..N/2−1 through `_from_half`.
 
 Fourier-multiplier operators (Λ = |n|, ∂₁ = in, ∂₁², heat kernel e^{−κn²})
 act diagonally on the coefficients.  Every pointwise nonlinearity is
@@ -54,7 +55,9 @@ def mode_numbers(n_modes: int) -> np.ndarray:
 
 class RealField:
     """Arithmetic of a real field whose coeffs hold the modes along axis 0;
-    subclasses define `_like(coeffs)`, a field of the same kind and grid."""
+    subclasses define `_like(coeffs)`, a field of the same kind and grid
+    from coeffs in its own storage, and `_from_half(half)`, one from the
+    modes 0..N/2−1 along axis 0 (extra rows ignored)."""
 
     coeffs: np.ndarray
 
@@ -96,6 +99,9 @@ class SpectrumField(RealField):
 
     def _like(self, coeffs: np.ndarray) -> "SpectrumField":
         return SpectrumField(coeffs)
+
+    def _from_half(self, half: np.ndarray) -> "SpectrumField":
+        return SpectrumField(hermitian_fill(half, self.n_modes))
 
     @property
     def modes(self) -> np.ndarray:
@@ -144,8 +150,8 @@ def hermitian_fill(half: np.ndarray, n_modes: int) -> np.ndarray:
 
     half holds the modes along axis 0, at least N/2 of them (extra ones are
     ignored).  The output has N rows: modes 0..N/2−1 as given, a zero Nyquist
-    row, and conj of modes N/2−1..1 in the negative slots.  Every transform
-    and Poisson result gets its negative modes here.
+    row, and conj of modes N/2−1..1 in the negative slots.  Boundary fields
+    get their negative modes here, including the traces of strip fields.
     """
     k = n_modes // 2
     out = np.empty((n_modes,) + half.shape[1:], dtype=np.complex128)
@@ -181,7 +187,7 @@ def values_stack(fields: Sequence[RealField], m: int) -> np.ndarray:
     Entry i equals values_on_grid(fields[i], m).
     """
     c0 = fields[0].coeffs
-    k = c0.shape[0] // 2
+    k = fields[0].n_modes // 2
     half = np.zeros((len(fields),) + c0.shape[1:] + (m // 2 + 1,), dtype=np.complex128)
     for block, f in zip(half, fields):
         block[..., :k] = f.coeffs[:k].T
@@ -191,18 +197,22 @@ def values_stack(fields: Sequence[RealField], m: int) -> np.ndarray:
 def project(samples: np.ndarray, like: RealField) -> RealField:
     """Projection of real samples (m, ...) onto the modes of like's kind and
     grid; project_stack of one field."""
-    return project_stack(samples[None], like)[0]
+    return project_stack([samples], like)[0]
 
 
-def project_stack(samples: np.ndarray, like: RealField) -> list[RealField]:
-    """Fields of like's kind and grid from real samples of shape (k, m) or
-    (k, m, N_z) on an m-point grid (m even, m >= N).
+def project_stack(samples: Sequence[np.ndarray], like: RealField) -> list[RealField]:
+    """Fields of like's kind and grid from real samples, each of shape (m,)
+    or (m, N_z), on an m-point grid (m even, m >= N).
 
-    One batched `rfft` along axis 1; the negative modes are filled by
-    conjugation.  Entry i equals project(samples[i], like).
+    One batched `rfft` along the sample axis, whose modes 0..N/2−1 each kind
+    keeps through `_from_half`.  Strip samples are stacked depth-major, the
+    memory order `values_stack` and the pointwise formulas leave them in, so
+    the stack is a plain copy and every transformed line is contiguous.
+    Entry i equals project(samples[i], like).
     """
-    c = np.fft.rfft(samples, axis=1, norm="forward")
-    return [like._like(hermitian_fill(ci, like.n_modes)) for ci in c]
+    stack = np.array([s.T for s in samples]).swapaxes(1, -1)
+    c = np.fft.rfft(stack, axis=1, norm="forward")
+    return [like._from_half(ci) for ci in c]
 
 
 def _symbol_values(symbol: Callable[[np.ndarray], np.ndarray],
@@ -235,17 +245,21 @@ _SYMBOLS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
 
 
 @lru_cache(maxsize=256)
-def _fixed_symbol(kind: str, n_modes: int, param: float, ndim: int) -> np.ndarray:
-    """Checked symbol of a fixed multiplier, built once per (kind, N, param),
-    shaped (N, 1, ...) to broadcast over the depth axis of ndim-d coeffs."""
-    m = _symbol_values(lambda n: _SYMBOLS[kind](n, param), mode_numbers(n_modes))
-    m = m.reshape((n_modes,) + (1,) * (ndim - 1))
+def _fixed_symbol(kind: str, n_modes: int, param: float, rows: int,
+                  ndim: int) -> np.ndarray:
+    """Checked symbol of a fixed multiplier on the first `rows` modes of the
+    FFT layout (N for boundary fields, N/2 for strips), built once per
+    (kind, N, param), shaped (rows, 1, ...) to broadcast over the depth axis
+    of ndim-d coeffs."""
+    m = _symbol_values(lambda n: _SYMBOLS[kind](n, param), mode_numbers(n_modes)[:rows])
+    m = m.reshape((rows,) + (1,) * (ndim - 1))
     m.setflags(write=False)
     return m
 
 
 def _apply_fixed(f: RealField, kind: str, param: float = 0.0) -> RealField:
-    return f._like(_fixed_symbol(kind, f.n_modes, param, f.coeffs.ndim) * f.coeffs)
+    c = f.coeffs
+    return f._like(_fixed_symbol(kind, f.n_modes, param, c.shape[0], c.ndim) * c)
 
 
 def lam(f: RealField, power: float = 1.0) -> RealField:

@@ -206,6 +206,32 @@ class TestCli:
         assert "config error: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new", [
+        ("dt = 1e-3", "dt = nan"),
+        ("t_final = 0.01", "t_final = inf"),
+        ("[initial]", "[numerics]\npicard_tol = abc\n[initial]"),
+        ("[initial]", "[numerics]\npicard_tol = -1\n[initial]"),
+        ("[initial]", "[numerics]\npicard_tol = nan\n[initial]"),
+        ("alpha = 3.0", "alpha = nan"),
+        ("n_depth = 48", "n_depth = 48\ndepth = inf"),
+        ("[initial]", "[numerics]\nmargin_min = nan\n[initial]"),
+        ("preset = small_two_mode", "preset = explicit\nh_modes = 1:inf"),
+    ], ids=["dt_nan", "t_final_inf", "picard_tol_abc", "picard_tol_negative",
+            "picard_tol_nan", "alpha_nan", "depth_inf", "margin_min_nan", "mode_inf"])
+    def test_non_finite_or_invalid_float_is_a_config_error(self, tmp_path, monkeypatch,
+                                                            capsys, old, new):
+        monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
+        text = MINIMAL.replace("n_modes = 64", "n_modes = 8\nn_depth = 48") \
+            .replace("t_final = 1.0", "t_final = 0.01")
+        assert old in text
+        p = tmp_path / "bad.ini"
+        p.write_text(text.replace(old, new))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(p), "--output-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "config error: " in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_zero_preset_series_is_zero(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
         text = """
@@ -304,9 +330,10 @@ record_every = 1
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the allocator settings are glibc's")
 def test_step_temporaries_stay_on_heap(tmp_path, monkeypatch):
-    # 64 × 192 complex strip arrays (196 KB) lie above glibc's default mmap
-    # threshold; unless cli.main keeps them on the heap, each step can map,
-    # fault in and unmap its temporaries again (about 3,500 faults per step)
+    # 64 × 192 strip temporaries (147 KB sample arrays and larger stacks) lie
+    # above glibc's default mmap threshold; unless cli.main keeps them on the
+    # heap, each step can map, fault in and unmap them again (about 500
+    # faults per step with mallopt skipped, against 3 with it)
     monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

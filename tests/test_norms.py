@@ -15,10 +15,8 @@ from dampedwaves.harness import (composition_trials, interpolation_trials,
 
 def exp_strip(grid, amplitude=1.0, mode=1):
     """u = amplitude · e^{x₂|mode|} cos(mode·x₁) as a strip field."""
-    c = np.zeros((grid.n_modes, grid.n_depth), dtype=np.complex128)
-    prof = np.exp(abs(mode) * grid.z)
-    c[mode] = 0.5 * amplitude * prof
-    c[-mode] = 0.5 * amplitude * prof
+    c = np.zeros((grid.n_modes // 2, grid.n_depth), dtype=np.complex128)
+    c[abs(mode)] = 0.5 * amplitude * np.exp(abs(mode) * grid.z)
     return StripField(grid, c)
 
 
@@ -76,7 +74,7 @@ class TestStripNorm:
 
     def test_zero_field(self):
         grid = StripGrid(16, depth=8.0, n_depth=65)
-        z = StripField(grid, np.zeros((16, 65), dtype=np.complex128))
+        z = StripField(grid, np.zeros((8, 65), dtype=np.complex128))
         assert nm.strip_norm(z, nm.NormSpec(1.0, 0.0, 1)) == 0.0
 
     def test_exp_profile_k1_s1(self):
@@ -230,7 +228,7 @@ class TestTrace:
 
     def test_zero(self):
         grid = StripGrid(16, depth=8.0, n_depth=65)
-        z = StripField(grid, np.zeros((16, 65), dtype=np.complex128))
+        z = StripField(grid, np.zeros((8, 65), dtype=np.complex128))
         rep = nm.check_trace_inequality(z, 1.0, 0.2)
         assert rep.lhs == 0.0 and rep.holds
 
@@ -241,11 +239,10 @@ class TestTrace:
 
 class TestSemigroupMultiplier:
     def test_exp_multiplier_all_orders(self):
-        grid = StripGrid(32, depth=8.0, n_depth=129)
         v = random_boundary_field(np.random.default_rng(2), 32, 10, zero_mean=False)
         for j in (1, 2, 3):
             for s in (0.0, 1.0):
-                rep = nm.check_semigroup_multiplier(v, grid, s, 0.2, j=j)
+                rep = nm.check_semigroup_multiplier(v, s, 0.2, j=j)
                 assert rep.holds
                 assert rep.lhs == pytest.approx(rep.rhs, rel=1e-12)
 
