@@ -63,9 +63,11 @@ def _outdir(requested: str) -> Path:
     return p
 
 
-def _write_verdict(path: Path, checks: list[dict]) -> int:
+def _write_verdict(path: Path, checks: list[dict], summary: dict | None = None) -> int:
     failed = [c for c in checks if c.get("mandatory", True) and not c["passed"]]
     verdict = {"checks": checks, "failed": len(failed)}
+    if summary is not None:
+        verdict["summary"] = summary      # what the run did; never pass/fail
     path.write_text(json.dumps(verdict, indent=2, sort_keys=True) + "\n")
     return 1 if failed else 0
 
@@ -115,7 +117,9 @@ def cmd_run(args) -> int:
         {"name": "smallness_cap", "passed": not any(flags),
          "value": int(sum(flags)), "mandatory": False},
     ]
-    code = _write_verdict(out / "verdict.json", checks)
+    summary = {"max_picard_iters": traj.max_picard_iters,
+               "mixed_solves": traj.mixed_solves}
+    code = _write_verdict(out / "verdict.json", checks, summary)
     print(f"wrote {out}/series.csv ({len(records)} records); "
           f"verdict: {'PASS' if code == 0 else 'FAIL'}")
     return code

@@ -2,7 +2,9 @@
 
 The transformed potential problem splits as φ = φ₁ + φ₂ where
 φ₁ = e^{x₂Λ}ξ carries the Dirichlet data and φ₂ solves the divergence-form
-problem Δφ₂ = −∇·(Q ∇(φ₁ + φ₂)) with zero trace, Q = JAAᵀ − Id.
+problem Δφ₂ = −∇·(Q ∇(φ₁ + φ₂)) with zero trace, Q = JAAᵀ − Id.  φ₂ is the
+fixed point of one Poisson solve per sweep, iterated as plain Picard while
+it contracts fast and Anderson-mixed once it slows (solve_phi2).
 
 The Poisson solver uses the periodic half-strip Green's kernels on the
 stored modes n = 0..N/2−1 of the strip fields.  For a mode n > 0 and forcing
@@ -24,6 +26,7 @@ kernels carry 1/n) and is solved by direct integration of ∂₂g₂.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -149,7 +152,11 @@ def poisson_divform(g1: StripField, g2: StripField,
 
 
 # ---------------------------------------------------------------------------
-# Picard iteration for the divergence-form correction
+# Picard iteration for the divergence-form correction, Anderson-mixed when slow
+
+MIX_SWITCH_RATIO = 0.3   # switch to mixing once an increment exceeds this × the last
+MIX_WINDOW = 2           # past sweeps in the least-squares fit
+MIX_MAX_COND = 1e12      # normal equations worse than this: plain sweep instead
 
 @dataclass(frozen=True)
 class TraceSet:
@@ -169,6 +176,7 @@ class EllipticSolution:
     picard_iters: int
     last_increment: StripField  # φ₂ minus the previous Picard iterate
     increments: tuple[float, ...] = field(default=())
+    mixed_from: int | None = None   # first sweep fed a mixed iterate (None: plain Picard)
 
     @property
     def residual(self) -> float:
@@ -195,15 +203,37 @@ def discrete_laplacian(u: StripField, acc: int = 4) -> StripField:
                       dxx(u).coeffs + fd_derivative(u.coeffs, u.grid.dz, 2, acc))
 
 
+def _mixing_coefficients(dfs: list[np.ndarray], f: np.ndarray,
+                         weight: np.ndarray) -> np.ndarray | None:
+    """Real γ minimising ‖f − Σⱼ γⱼ dfⱼ‖ in the full-spectrum inner product
+    (stored modes weighted by weight), or None when the normal equations are
+    singular or ill-conditioned at round-off."""
+    wdfs = [weight * d for d in dfs]
+    gram = np.array([[np.vdot(a, b).real for b in wdfs] for a in dfs])
+    rhs = np.array([np.vdot(a, f).real for a in wdfs])
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))) \
+            or np.linalg.cond(gram) > MIX_MAX_COND:
+        return None
+    return np.linalg.solve(gram, rhs)
+
+
 def solve_phi2(bundle: GeometryBundle, phi1: StripField,
                tol: float = 1e-10, max_iter: int = 25) -> EllipticSolution:
-    """Fixed-point iteration φ₂ ← Poisson(−Q∇(φ₁+φ₂)), φ₂⁽⁰⁾ = 0.
+    """Fixed-point iteration φ₂ ← P(φ₂) = Poisson(−Q∇(φ₁+φ₂)), φ₂⁽⁰⁾ = 0.
 
-    Stops when the successive-iterate change in the k=0 strip norm falls
-    below tol.  Raises ContractionError when the increments stop contracting
-    (the amplitude left the smallness regime) or max_iter is exhausted, and
-    ConfigurationError for max_iter < 1.  The final increment is kept for
-    EllipticSolution.residual.
+    Plain Picard while the increments contract fast.  Once an increment
+    exceeds MIX_SWITCH_RATIO times the one before, every later sweep is fed
+    the Anderson-mixed iterate (type II, Walker & Ni 2011) over the last
+    MIX_WINDOW sweeps: the pair (φ₂, ∂₂φ₂) ← P(φ₂) − Σⱼ γⱼ ΔPⱼ with real γ
+    from the least-squares fit of the latest increment by the increment
+    differences (see _mixing_coefficients); a singular fit falls back to the
+    plain P(φ₂) for that sweep.  Every sweep is one poisson_divform call.
+
+    Stops when the successive-iterate change P(φ₂) − φ₂ in the k=0 strip norm
+    falls below tol and returns the last P(φ₂).  Raises ContractionError when
+    three successive increments grow (the amplitude left the contraction
+    regime) or max_iter is exhausted, and ConfigurationError for
+    max_iter < 1.  The final increment is kept for EllipticSolution.residual.
     """
     grid = bundle.grid
     if max_iter < 1:
@@ -213,30 +243,51 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     m = pad_size(grid.n_modes, 2)
     q11v, q12v, q22v = values_stack([bundle.q11, bundle.q12, bundle.q22], m)
     dz1 = lam(phi1)
+    weight = mode_multiplicity(grid.n_modes)[:, None]
 
-    phi2 = zero_strip(grid)
-    dz2 = zero_strip(grid)
+    phi2 = out_phi = zero_strip(grid)
+    dz2 = out_dz = zero_strip(grid)
     increments: list[float] = []
     sol = None
     last_inc_field = None
     g1 = g2 = None
     converged = False
-    for _ in range(max_iter):
+    mixed_from = None
+    history: deque = deque(maxlen=MIX_WINDOW)   # (ΔP(φ₂), ΔP(∂₂φ₂), Δincrement)
+    for sweep in range(1, max_iter + 1):
         u1v, u2v = values_stack([dx(phi1 + phi2), dz1 + dz2], m)
         g1, g2 = project_stack([-(q11v * u1v + q12v * u2v),
                                 -(q12v * u1v + q22v * u2v)], phi1)
         sol = poisson_divform(g1, g2)
-        last_inc_field = sol.phi - phi2
-        inc = strip_norm(last_inc_field, NormSpec(0.0, 0.0, 0))
+        inc_field = sol.phi - phi2
+        inc = strip_norm(inc_field, NormSpec(0.0, 0.0, 0))
         increments.append(inc)
-        phi2, dz2 = sol.phi, sol.dzphi
         if inc <= tol:
+            phi2, dz2, last_inc_field = sol.phi, sol.dzphi, inc_field
             converged = True
             break
         if len(increments) >= 3 and increments[-1] > increments[-2] > increments[-3]:
             raise ContractionError(
                 "amplitude outside contraction regime: Picard increments grew "
                 f"({increments[-3]:.3e} -> {increments[-1]:.3e})")
+        if mixed_from is None and len(increments) >= 2 \
+                and inc > MIX_SWITCH_RATIO * increments[-2]:
+            mixed_from = sweep + 1
+        if mixed_from is not None:
+            # out_* is the previous sweep's P output (the input itself until mixing)
+            history.append((sol.phi.coeffs - out_phi.coeffs,
+                            sol.dzphi.coeffs - out_dz.coeffs,
+                            inc_field.coeffs - last_inc_field.coeffs))
+        phi2, dz2 = out_phi, out_dz = sol.phi, sol.dzphi
+        last_inc_field = inc_field
+        if mixed_from is not None:
+            gamma = _mixing_coefficients([d[2] for d in history],
+                                         inc_field.coeffs, weight)
+            if gamma is not None:
+                phi2 = StripField(grid, phi2.coeffs - sum(
+                    c * d[0] for c, d in zip(gamma, history)))
+                dz2 = StripField(grid, dz2.coeffs - sum(
+                    c * d[1] for c, d in zip(gamma, history)))
     if not converged:
         raise ContractionError(
             f"Picard did not reach tol={tol:g} in {max_iter} iterations "
@@ -249,7 +300,7 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     return EllipticSolution(phi1=phi1, phi2=phi2, dzphi2=dz2, g1=g1, g2=g2,
                             traces=traces, picard_iters=len(increments),
                             last_increment=last_inc_field,
-                            increments=tuple(increments))
+                            increments=tuple(increments), mixed_from=mixed_from)
 
 
 def gradient_norm(phi1: StripField, phi2: StripField, dzphi2: StripField,

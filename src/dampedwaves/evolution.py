@@ -192,6 +192,7 @@ class StepInfo:
     mean_drift: float
     picard_iters: int
     bulk_gradient: float | None = None   # gradient_norm at the input state
+    mixed_solves: int = 0                # solves that switched to Anderson mixing
 
 
 def _pack(state: SimState) -> np.ndarray:
@@ -222,6 +223,7 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
     p, factors = _step_tables(state.n_modes, params.alpha, dt, params.kappa)
     u0 = _pack(state)
     iters = 0
+    mixed = 0
     bulk = None
 
     if opts.linear_only:
@@ -229,6 +231,7 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
     else:
         r0 = evaluate_rhs(state, params, grid, opts)
         iters = max(iters, r0.solution.picard_iters)
+        mixed += r0.solution.mixed_from is not None
         if record:
             bulk = gradient_norm(r0.solution.phi1, r0.solution.phi2,
                                  r0.solution.dzphi2)
@@ -238,6 +241,7 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
         pred = _unpack(u_pred, state.t + dt)
         r1 = evaluate_rhs(pred, params, grid, opts)
         iters = max(iters, r1.solution.picard_iters)
+        mixed += r1.solution.mixed_from is not None
         k2 = np.array([r1.xi_t.coeffs, r1.h_t.coeffs]) - _apply_linear(factors, u_pred)
         u1 = _apply(p, u0) + 0.5 * dt * (_apply(p, k1) + k2)
 
@@ -245,7 +249,8 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
     u1[1][0] = 0.0
     return _unpack(u1, state.t + dt), StepInfo(mean_drift=float(drift),
                                                picard_iters=iters,
-                                               bulk_gradient=bulk)
+                                               bulk_gradient=bulk,
+                                               mixed_solves=mixed)
 
 
 @dataclass(frozen=True)
@@ -267,6 +272,7 @@ class Trajectory:
     max_picard_iters: int
     opts: StepOptions | None = None
     bulk: tuple[float | None, ...] = ()
+    mixed_solves: int = 0      # the stepper's solves that switched to mixing
 
     @property
     def times(self) -> np.ndarray:
@@ -293,6 +299,7 @@ def run(h0: SpectrumField, xi0: SpectrumField, params: ModelParams,
     n_steps = int(round(t_final / dt)) if t_final > 0 else 0
     max_drift = 0.0
     max_iters = 0
+    mixed = 0
     for i in range(n_steps):
         # the state entering step i was recorded exactly when i % record_every == 0
         state, info = step(state, params, grid, dt, opts,
@@ -301,9 +308,11 @@ def run(h0: SpectrumField, xi0: SpectrumField, params: ModelParams,
             bulk[-1] = info.bulk_gradient
         max_drift = max(max_drift, info.mean_drift)
         max_iters = max(max_iters, info.picard_iters)
+        mixed += info.mixed_solves
         if (i + 1) % record_every == 0 or i == n_steps - 1:
             records.append(state)
             bulk.append(None)
     return Trajectory(states=tuple(records), params=params, grid=grid, dt=dt,
                       record_every=record_every, max_mean_drift=max_drift,
-                      max_picard_iters=max_iters, opts=opts, bulk=tuple(bulk))
+                      max_picard_iters=max_iters, opts=opts, bulk=tuple(bulk),
+                      mixed_solves=mixed)

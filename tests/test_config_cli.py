@@ -11,6 +11,8 @@ import pytest
 
 from dampedwaves import cli
 from dampedwaves import config as cf
+from dampedwaves import elliptic as el
+from dampedwaves import evolution as ev
 from dampedwaves.errors import ConfigurationError
 from dampedwaves.norms import NormSpec, wiener_norm
 
@@ -159,10 +161,24 @@ class TestCli:
              "energy", "radius", "lyapunov"))
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["failed"] == 0
+        assert [c["name"] for c in verdict["checks"]] == ["mean_drift_per_step",
+                                                          "smallness_cap"]
+        assert verdict["summary"]["mixed_solves"] == 0
+        assert verdict["summary"]["max_picard_iters"] >= 1
         snaps = (out / "snapshots.jsonl").read_text().splitlines()
         assert len(snaps) >= 2
         first = json.loads(snaps[0])
         assert len(first["h_re"]) == 16
+
+    def test_small_amplitude_run_never_mixes(self, tiny_config, tmp_path, monkeypatch):
+        # the same bytes as a run whose φ₂ solves can never switch to mixing
+        monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli("run", "--config", str(tiny_config), "--output-dir", str(a)) == 0
+        monkeypatch.setattr(el, "MIX_SWITCH_RATIO", np.inf)
+        assert run_cli("run", "--config", str(tiny_config), "--output-dir", str(b)) == 0
+        for name in ("series.csv", "snapshots.jsonl", "verdict.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_run_determinism(self, tiny_config, tmp_path, monkeypatch):
         monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
@@ -392,3 +408,27 @@ def test_benchmark_elliptic_oracle_passes(tmp_path, monkeypatch):
     code = run_cli("run", "--config", str(cfg), "--output-dir", str(out))
     assert code == 0
     assert check_elliptic(*solve_final_state(load(out, code), wl)) == []
+
+
+def test_verdict_summary_counts_mixed_solves(tmp_path, monkeypatch):
+    # the solver counts go to a summary beside the checks, not into a check
+    from dataclasses import replace
+    monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
+    monkeypatch.syspath_prepend(str(Path(cli.__file__).resolve().parents[2] / "bench"))
+    from workloads import WORKLOADS, config_text
+
+    wl = replace(WORKLOADS["steep_128x384"], n_modes=32, n_depth=96, steps=2)
+    text = config_text(wl, 1)
+    cfg_path = tmp_path / "steep.ini"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(cfg_path), "--output-dir", str(out)) == 0
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert [c["name"] for c in verdict["checks"]] == ["mean_drift_per_step", "smallness_cap"]
+
+    cfg = cf.parse_config(text)
+    traj = ev.run(*cf.initial_data(cfg), cfg.params, cfg.grid, cfg.dt, cfg.t_final,
+                  record_every=cfg.record_every, opts=cfg.step_options)
+    assert verdict["summary"] == {"max_picard_iters": traj.max_picard_iters,
+                                  "mixed_solves": traj.mixed_solves}
+    assert traj.mixed_solves == 2 * wl.steps       # every stepper solve switched

@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from scipy.linalg import solve_banded
 from dampedwaves import elliptic as el
 from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
+from dampedwaves.config import initial_data, parse_config
 from dampedwaves.errors import ContractionError
+from dampedwaves.norms import NormSpec, strip_norm
 from dampedwaves.harness import (elliptic_bound_trials,
                                  manufactured_solution_errors,
                                  random_strip_field)
@@ -21,6 +24,53 @@ def manufactured_fields(grid):
     exact = np.zeros_like(c2)
     exact[1] = 0.5 * grid.z * prof
     return geo.zero_strip(grid), geo.StripField(grid, c2), exact
+
+
+def frontier_data(a: float, n: int) -> tuple[sp.SpectrumField, sp.SpectrumField]:
+    """h = a cos x + (a/3) cos 5x and its matching sine ξ."""
+    return (sp.cosine(1, a, n) + sp.cosine(5, a / 3, n),
+            sp.sine(1, a, n) + sp.sine(5, a / 3, n))
+
+
+def plain_picard(bundle, phi1, tol, max_iter):
+    """φ₂ ← Poisson(−Q∇(φ₁+φ₂)) from φ₂ = 0, unmixed, in the order
+    solve_phi2 runs its sweeps: (φ₂, ∂₂φ₂, increments)."""
+    m = sp.pad_size(bundle.grid.n_modes, 2)
+    q11v, q12v, q22v = sp.values_stack([bundle.q11, bundle.q12, bundle.q22], m)
+    dz1 = sp.lam(phi1)
+    phi2 = dz2 = geo.zero_strip(bundle.grid)
+    increments = []
+    for _ in range(max_iter):
+        u1v, u2v = sp.values_stack([sp.dx(phi1 + phi2), dz1 + dz2], m)
+        g1, g2 = sp.project_stack([-(q11v * u1v + q12v * u2v),
+                                   -(q12v * u1v + q22v * u2v)], phi1)
+        sol = el.poisson_divform(g1, g2)
+        increments.append(strip_norm(sol.phi - phi2, NormSpec(0.0, 0.0, 0)))
+        phi2, dz2 = sol.phi, sol.dzphi
+        if increments[-1] <= tol:
+            break
+    return phi2, dz2, tuple(increments)
+
+
+@pytest.fixture
+def workload_problem(monkeypatch):
+    """(bundle, φ₁) of a benchmark workload's initial state, as its first
+    right-hand side builds them."""
+    monkeypatch.syspath_prepend(str(Path(el.__file__).resolve().parents[2] / "bench"))
+    from workloads import WORKLOADS, config_text
+
+    def make(name: str, seed: int = 1):
+        cfg = parse_config(config_text(WORKLOADS[name], seed))
+        h, xi = initial_data(cfg)
+        kappa = cfg.params.kappa
+        bundle = geo.build_geometry(cfg.params.epsilon * sp.mollify(h, kappa), cfg.grid,
+                                    margin_min=cfg.step_options.margin_min)
+        return bundle, el.solve_phi1(sp.mollify(xi, kappa), cfg.grid)
+    return make
+
+
+def rel_diff(a: geo.StripField, b: geo.StripField) -> float:
+    return float(np.max(np.abs(a.coeffs - b.coeffs)) / np.max(np.abs(b.coeffs)))
 
 
 def full(f: geo.StripField) -> np.ndarray:
@@ -159,11 +209,15 @@ class TestSolvePhi2:
         assert sol.residual == expected
         assert len(calls) == 1
 
-    def test_one_half_band_poisson_solve_per_sweep(self, monkeypatch):
-        # the benchmark traces the sweep layer through this module global
+    @pytest.mark.parametrize("amp, mixes", [(0.1, False), (0.2, True)])
+    def test_one_half_band_poisson_solve_per_sweep(self, monkeypatch, amp, mixes):
+        # the benchmark traces the sweep layer through this module global,
+        # on plain Picard and on mixed solves alike
         grid = geo.StripGrid(16, depth=8.0, n_depth=64)
-        bundle = geo.build_geometry(sp.cosine(1, 0.1, 16), grid)
-        phi1 = el.solve_phi1(sp.sine(1, 0.1, 16), grid)
+        h, xi = frontier_data(amp, 16) if mixes else \
+            (sp.cosine(1, amp, 16), sp.sine(1, amp, 16))
+        bundle = geo.build_geometry(h, grid)
+        phi1 = el.solve_phi1(xi, grid)
         calls = []
         poisson = el.poisson_divform
 
@@ -174,6 +228,7 @@ class TestSolvePhi2:
         monkeypatch.setattr(el, "poisson_divform", spy)
         sol = el.solve_phi2(bundle, phi1, tol=1e-12)
         assert sol.picard_iters > 1 and len(calls) == sol.picard_iters
+        assert (sol.mixed_from is not None) == mixes
         for g in (g for pair in calls for g in pair):
             assert isinstance(g, geo.StripField) and g.coeffs.shape == (8, 64)
 
@@ -218,6 +273,71 @@ class TestSolvePhi2:
         phi1 = el.solve_phi1(sp.sine(1, 0.5, 32), grid)
         with pytest.raises(ContractionError):
             el.solve_phi2(bundle, phi1, tol=1e-14, max_iter=8)
+
+
+class TestAndersonMixing:
+    @pytest.mark.parametrize("n, nz", [(32, 96), (64, 192)])
+    @pytest.mark.parametrize("xi_kind", ["sine", "h"])
+    def test_amplitude_frontier_converges(self, n, nz, xi_kind):
+        # min J = 0.47: plain Picard stalls at the cap or its increments grow
+        grid = geo.StripGrid(n, depth=8.0, n_depth=nz)
+        h, xi = frontier_data(0.2, n)
+        bundle = geo.build_geometry(h, grid)
+        phi1 = el.solve_phi1(h if xi_kind == "h" else xi, grid)
+        sol = el.solve_phi2(bundle, phi1)
+        assert sol.mixed_from is not None and sol.picard_iters <= 25
+        ref = el.solve_phi2(bundle, phi1, tol=1e-13, max_iter=40)
+        assert rel_diff(sol.phi2, ref.phi2) <= 1e-7
+
+    def test_small_amplitude_is_bitwise_plain_picard(self, workload_problem):
+        grid = geo.StripGrid(64, depth=8.0, n_depth=256)    # criterion 6
+        crit6 = (geo.build_geometry(sp.cosine(1, 0.01, 64) + sp.cosine(2, 0.0033, 64), grid),
+                 el.solve_phi1(sp.sine(1, 0.01, 64), grid), 1e-12, 20)
+        decay = (*workload_problem("decay_64x192"), 1e-10, 25)
+        for bundle, phi1, tol, max_iter in (crit6, decay):
+            sol = el.solve_phi2(bundle, phi1, tol=tol, max_iter=max_iter)
+            phi2, dz2, increments = plain_picard(bundle, phi1, tol, max_iter)
+            assert sol.mixed_from is None
+            assert sol.increments == increments
+            assert np.array_equal(sol.phi2.coeffs, phi2.coeffs)
+            assert np.array_equal(sol.dzphi2.coeffs, dz2.coeffs)
+
+    def test_steep_mixing_is_no_less_accurate(self, workload_problem):
+        bundle, phi1 = workload_problem("steep_128x384")
+        sol = el.solve_phi2(bundle, phi1)
+        plain, _, plain_incs = plain_picard(bundle, phi1, 1e-10, 25)
+        ref, _, _ = plain_picard(bundle, phi1, 1e-14, 60)
+        assert sol.mixed_from is not None and 2 < sol.mixed_from <= sol.picard_iters
+        assert sol.picard_iters < len(plain_incs)
+        assert rel_diff(sol.phi2, ref) <= rel_diff(plain, ref)
+
+    def test_round_off_tolerance_stays_finite(self, workload_problem, monkeypatch):
+        # near round-off the least-squares fit may turn singular; the sweep
+        # then takes the plain Picard output
+        bundle, phi1 = workload_problem("steep_128x384")
+        forcings = []
+        poisson = el.poisson_divform
+        monkeypatch.setattr(el, "poisson_divform", lambda g1, g2, *a, **kw:
+                            forcings.append((g1, g2)) or poisson(g1, g2, *a, **kw))
+        try:
+            sol = el.solve_phi2(bundle, phi1, tol=1e-15, max_iter=40)
+        except ContractionError as exc:
+            assert "in 40 iterations" in str(exc)
+        else:
+            assert np.all(np.isfinite(sol.phi2.coeffs))
+            assert np.all(np.isfinite(sol.dzphi2.coeffs))
+        for g1, g2 in forcings:
+            assert np.all(np.isfinite(g1.coeffs)) and np.all(np.isfinite(g2.coeffs))
+
+    def test_singular_fit_means_a_plain_sweep(self):
+        w = geo.mode_multiplicity(8)[:, None]
+        f = np.ones((4, 6), dtype=np.complex128)
+        zero = np.zeros_like(f)
+        assert el._mixing_coefficients([zero, zero], f, w) is None
+        assert el._mixing_coefficients([f, f], f, w) is None
+        assert el._mixing_coefficients([np.full_like(f, np.nan)], f, w) is None
+        gamma = el._mixing_coefficients([f], 2 * f, w)
+        assert gamma.dtype == np.float64 and gamma[0] == pytest.approx(2.0)
 
 
 class TestTraces:
