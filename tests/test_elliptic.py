@@ -209,13 +209,11 @@ class TestSolvePhi2:
         assert sol.residual == expected
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("amp, mixes", [(0.1, False), (0.2, True)])
-    def test_one_half_band_poisson_solve_per_sweep(self, monkeypatch, amp, mixes):
+    @staticmethod
+    def _count_poisson_solves(monkeypatch, h, xi, mixes):
         # the benchmark traces the sweep layer through this module global,
         # on plain Picard and on mixed solves alike
         grid = geo.StripGrid(16, depth=8.0, n_depth=64)
-        h, xi = frontier_data(amp, 16) if mixes else \
-            (sp.cosine(1, amp, 16), sp.sine(1, amp, 16))
         bundle = geo.build_geometry(h, grid)
         phi1 = el.solve_phi1(xi, grid)
         calls = []
@@ -231,6 +229,13 @@ class TestSolvePhi2:
         assert (sol.mixed_from is not None) == mixes
         for g in (g for pair in calls for g in pair):
             assert isinstance(g, geo.StripField) and g.coeffs.shape == (8, 64)
+
+    def test_one_half_band_poisson_solve_per_sweep(self, monkeypatch):
+        self._count_poisson_solves(monkeypatch, sp.cosine(1, 0.1, 16),
+                                   sp.sine(1, 0.1, 16), mixes=False)
+
+    def test_one_half_band_poisson_solve_per_mixed_sweep(self, monkeypatch):
+        self._count_poisson_solves(monkeypatch, *frontier_data(0.2, 16), mixes=True)
 
     def test_fd_residual_oracle(self):
         grid = geo.StripGrid(32, depth=8.0, n_depth=513)
