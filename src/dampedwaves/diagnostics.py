@@ -81,7 +81,7 @@ def analyticity_radius(f: SpectrumField,
     absn = np.abs(f.modes).astype(float)
     keep = (a > floor) & (absn >= 1)
     n_pts = int(np.count_nonzero(keep))
-    if n_pts < min_points or np.unique(absn[keep]).size < 2:
+    if n_pts < min_points:
         return UNDEFINED_RADIUS
     x = absn[keep]
     y = np.log(a[keep])
@@ -89,7 +89,7 @@ def analyticity_radius(f: SpectrumField,
         wgt = np.clip(np.log10(a[keep] / floor) / taper_decades, 0.0, 1.0)
     else:
         wgt = np.ones_like(x)
-    if np.count_nonzero(wgt > 0) < 2 or np.unique(x[wgt > 0]).size < 2:
+    if np.count_nonzero(wgt > 0) < 2 or np.ptp(x[wgt > 0]) == 0:   # < 2 distinct |n|
         return UNDEFINED_RADIUS
     slope, intercept = np.polyfit(x, y, 1, w=np.sqrt(wgt))
     resid = y - (slope * x + intercept)

@@ -9,18 +9,20 @@ it contracts fast and Anderson-mixed once it slows (solve_phi2).
 The Poisson solver uses the periodic half-strip Green's kernels on the
 stored modes n = 0..N/2−1 of the strip fields.  For a mode n > 0 and forcing
 b = ∇·g, the textbook kernel solution is rewritten (by integrating the ∇·g
-terms by parts) in a damped form in which every exponential has a
-nonpositive exponent, and ĝ₁, ĝ₂ enter only through two combinations:
+terms by parts) in a damped form whose kernels never grow, and ĝ₁, ĝ₂ enter
+only through two combinations:
 
     φ̂(n,x₂)  = ½(E·U(0) − U − D)
     ∂₂φ̂(n,x₂) = ĝ₂ + (n/2)(E·U(0) + U − D)
 
 with E = e^{nx₂}, the upward prefix U(x₂) = ∫_{−L}^{x₂} (iĝ₁ − ĝ₂)
 e^{n(y−x₂)}dy and the downward prefix D(x₂) = ∫_{x₂}^0 (iĝ₁ + ĝ₂)
-e^{n(x₂−y)}dy.  The two prefixes are evaluated by product-trapezoid
-recursions (exact exponential kernel against piecewise-linear data), O(N_z)
-per mode and second-order accurate uniformly in n.  Mode 0 degenerates (the
-kernels carry 1/n) and is solved by direct integration of ∂₂g₂.
+e^{n(x₂−y)}dy.  The two prefixes are product-trapezoid recursions (exact
+exponential kernel against piecewise-linear data), O(N_z) per mode and
+second-order accurate uniformly in n, run as one blocked scan: positive
+exponents e^{θr} occur only inside a block, with θr <= SCAN_MAX_EXPONENT.
+Mode 0 degenerates (the kernels carry 1/n) and is solved by direct
+integration of ∂₂g₂.
 """
 
 from __future__ import annotations
@@ -69,13 +71,23 @@ def _product_trapezoid_weights(theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return w0, w1
 
 
+SCAN_MAX_EXPONENT = 300.0   # bound on θ·(k − k₀) inside a scan block (overflow safety)
+
+
 @lru_cache(maxsize=16)
-def _prefix_weights(grid: StripGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w0, w1, e^{−θ}) at θ = n·dz for the stored modes 0..N/2−1, the
-    per-grid constants of the prefix loop."""
-    theta = grid.modes.astype(float) * grid.dz
-    w0, w1 = _product_trapezoid_weights(theta)
-    return w0, w1, np.exp(-theta)
+def _scan_tables(grid: StripGrid) -> tuple[int, np.ndarray, np.ndarray, np.ndarray,
+                                           np.ndarray]:
+    """Per-grid constants of the blocked prefix scan at θ = n·dz, stored modes
+    0..N/2−1: the block length B and, with r = k mod B the node's place in its
+    block, the (N/2, N_z) tables ½dz·w0·e^{θr} and ½dz·w1·e^{θr} (zero at
+    k = 0, where the scan starts from 0), e^{−θr}, and the block carry e^{−θB}."""
+    theta = grid.modes.astype(float) * grid.dz     # n_modes >= 4, so θ_max > 0
+    block = int(SCAN_MAX_EXPONENT // theta[-1]) + 1
+    r = np.arange(grid.n_depth) % block
+    growth = np.exp(theta[:, None] * r)
+    growth[:, 0] = 0.0
+    w0, w1 = (0.5 * grid.dz * w[:, None] for w in _product_trapezoid_weights(theta))
+    return block, w0 * growth, w1 * growth, np.exp(-theta[:, None] * r), np.exp(-theta * block)
 
 
 @dataclass(frozen=True)
@@ -111,28 +123,37 @@ def poisson_divform(g1: StripField, g2: StripField,
             f"forcing has not decayed at depth -L_d (relative size {tail_defect:.2e}); "
             "truncation error exceeds tail_tol", stacklevel=2)
 
-    w0, w1, damp = _prefix_weights(grid)
-    ig1 = 1j * f1
-    up = ig1 - f2
-    dn = ig1 + f2
+    # mode-major scan data: x[0] = iĝ₁ − ĝ₂ upward, x[1] = iĝ₁ + ĝ₂ depth-reversed
+    block, w0, w1, shrink, carry = _scan_tables(grid)
+    x = np.empty((2,) + f1.shape, dtype=np.complex128)
+    np.multiply(f1, 1j, out=x[0])
+    np.add(x[0], f2, out=x[1, :, ::-1])
+    x[0] -= f2
 
-    # one combined prefix loop: row 0 accumulates U upward, row 1 the
-    # depth-reversed D; depth-major storage makes each step two contiguous
-    # ufunc calls on prebuilt row views
-    stacked = np.zeros((nz, 2, n.size), dtype=np.complex128)
-    stacked[1:, 0] = (dz * (w0[:, None] * up[:, :-1] + w1[:, None] * up[:, 1:])).T
-    stacked[:0:-1, 1] = (dz * (w1[:, None] * dn[:, :-1] + w0[:, None] * dn[:, 1:])).T
-    rows = list(stacked)
-    tmp = np.empty_like(rows[0])
-    for prev, cur in zip(rows[1:-1], rows[2:]):
-        np.multiply(damp, prev, tmp)
-        np.add(cur, tmp, cur)
-    u = stacked[:, 0].T
-    d = stacked[::-1, 1].T
+    # ½U and ½D by one recursion S_k = e^{−θ}S_{k−1} + c_k, c_k the
+    # product-trapezoid term of interval k, S_0 = 0, as a scan: in a block of
+    # B nodes from k₀, S_k = e^{−θ(k−k₀)}T_k with the cumulative sum
+    # T_k = e^{−θB}T_{k₀−1} + Σ_{k₀≤j≤k} e^{θ(j−k₀)}c_j
+    s = np.empty_like(x)
+    s[..., 0] = 0.0
+    np.multiply(w0[:, 1:], x[..., :-1], out=s[..., 1:])
+    x *= w1
+    s += x
+    for k0 in range(0, nz, block):
+        blk = s[..., k0:k0 + block]
+        if k0:
+            blk[..., 0] += carry * s[..., k0 - 1]
+        np.cumsum(blk, axis=-1, out=blk)
+    s *= shrink
+    su, sd = s[0], s[1, :, ::-1]
 
-    eu0 = extension_profile(grid) * u[:, -1:]   # E·U(0)
-    phi = 0.5 * (eu0 - u - d)
-    dzphi = f2 + 0.5 * n[:, None] * (eu0 + u - d)
+    phi = extension_profile(grid) * su[:, -1:]   # ½E·U(0)
+    dzphi = phi + su
+    dzphi -= sd
+    dzphi *= n[:, None]
+    dzphi += f2
+    phi -= su
+    phi -= sd
 
     # mode 0: φ'' = ∂₂ĝ₂ integrated directly with φ(0) = 0, φ' → ĝ₂ (decaying)
     g20 = f2[0, :]
@@ -385,25 +406,3 @@ def ale_laplacian_residual(bundle: GeometryBundle, phi1: StripField,
     interior = res.coeffs[:, 2:-2]     # edge stencil rows excluded
     grad_rms = max(_rms(u1), _rms(u2))
     return float(np.max(np.abs(interior))), grad_rms
-
-
-# ---------------------------------------------------------------------------
-# explicit kernels (bounded closed forms, spot-check use)
-
-def kernel_pi_derivative(which: int, j: int, l: int, k: int,
-                         y2, x2) -> np.ndarray:
-    """∂^j_{x₂}∂^l_{y₂}Π_which(|k|, y₂, x₂) from the closed forms.
-
-    Π₁ is defined for y₂ <= x₂, Π₂ for x₂ <= y₂ <= 0; both expressions below
-    keep every exponent nonpositive on their domains.  y₂ and x₂ broadcast.
-    """
-    ak = abs(k)
-    y2 = np.asarray(y2, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if which == 1:
-        return 0.5 * ak ** (j + l) * (np.exp(ak * (y2 + x2)) -
-                                      (-1.0) ** j * np.exp(ak * (y2 - x2)))
-    if which == 2:
-        return 0.5 * ak ** (j + l) * (np.exp(ak * (y2 + x2)) -
-                                      (-1.0) ** l * np.exp(-ak * (y2 - x2)))
-    raise ConfigurationError("which must be 1 or 2")

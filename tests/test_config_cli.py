@@ -369,6 +369,26 @@ def test_step_temporaries_stay_on_heap(tmp_path, monkeypatch):
     assert per_step <= 200
 
 
+def test_run_does_not_import_numpy_ma(tmp_path, monkeypatch):
+    # np.unique imports numpy.ma on first use, tens of ms of every run's start
+    monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(MINIMAL.replace("n_modes = 64", "n_modes = 8\nn_depth = 48")
+                   .replace("t_final = 1.0", "t_final = 0.02"))
+    script = ("import sys\nfrom dampedwaves.cli import main\n"
+              f"code = main(['run', '--config', {str(cfg)!r}, "
+              f"'--output-dir', {str(tmp_path / 'out')!r}])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["0", "False"]
+    assert (tmp_path / "out" / "series.csv").exists()
+
+
 def test_benchmark_trace_hooks_find_every_layer(tmp_path, monkeypatch):
     # bench/trace_cli.py wraps package names where they are looked up and
     # raises AttributeError on a missing one, failing every traced round
