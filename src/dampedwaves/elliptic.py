@@ -39,8 +39,8 @@ from .geometry import (GeometryBundle, StripField, StripGrid, extension_profile,
                        fd_derivative, harmonic_extension, mode_multiplicity,
                        zero_strip)
 from .norms import NormSpec, strip_norm
-from .spectral import (SpectrumField, dx, dxx, lam, pad_size, project,
-                       project_stack, values_stack)
+from .spectral import (SpectrumField, _fixed_symbol, dx, dxx, lam, pad_size,
+                       project, project_stack, values_stack)
 
 
 def solve_phi1(xi: SpectrumField, grid: StripGrid) -> StripField:
@@ -168,7 +168,7 @@ def poisson_divform(g1: StripField, g2: StripField,
     phi[0, :] = prim - prim[-1]
     dzphi[0, :] = g20
 
-    return PoissonSolution(phi=StripField(grid, phi), dzphi=StripField(grid, dzphi),
+    return PoissonSolution(phi=g1._like(phi), dzphi=g1._like(dzphi),
                            flux_flag=flux_flag, tail_defect=tail_defect)
 
 
@@ -250,6 +250,14 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     differences (see _mixing_coefficients); a singular fit falls back to the
     plain P(φ₂) for that sweep.  Every sweep is one poisson_divform call.
 
+    The sweeps share one workspace, allocated per solve: −Q sampled once on
+    the pad_size(N, 2) grid; one zero-padded half-spectrum buffer, into which
+    a sweep writes ∂₁(φ₁+φ₂) and ∂₂(φ₁+φ₂) and its rfft writes the forcing
+    g₁, g₂, which poisson_divform reads through field views without a copy;
+    the samples, turned into g in place; and two scratch planes.  The
+    arithmetic is that of values_stack, the pointwise products and
+    project_stack, in the same order, so a sweep is bitwise the same.
+
     Stops when the successive-iterate change P(φ₂) − φ₂ in the k=0 strip norm
     falls below tol and returns the last P(φ₂).  Raises ContractionError when
     three successive increments grow (the amplitude left the contraction
@@ -261,9 +269,19 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
         raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
     if bundle.diffeo_margin <= 0:
         raise ContractionError("geometry margin is not positive")
-    m = pad_size(grid.n_modes, 2)
-    q11v, q12v, q22v = values_stack([bundle.q11, bundle.q12, bundle.q22], m)
-    dz1 = lam(phi1)
+    k, nz, m = grid.n_modes // 2, grid.n_depth, pad_size(grid.n_modes, 2)
+    # sweep workspace, depth-major (N_z, m) like the transforms' lines;
+    # −(a·b + c·d) = (−a)·b + (−c)·d exactly, negation being exact
+    nq11, nq12, nq22 = np.negative(
+        values_stack([bundle.q11, bundle.q12, bundle.q22], m)).swapaxes(1, -1)
+    # the half spectra: ∂₁(φ₁+φ₂), ∂₂(φ₁+φ₂) in, the forcing g₁, g₂ out
+    spec = np.zeros((2, nz, m // 2 + 1), dtype=np.complex128)
+    u1h, u2h = spec[0, :, :k].T, spec[1, :, :k].T          # (N/2, N_z) views
+    g1v, g2v = phi1._like(u1h), phi1._like(u2h)
+    vals = np.empty((2, nz, m))                 # samples of u, then of g
+    s1, s2 = np.empty((2, nz, m))
+    dx_symbol = _fixed_symbol("dx", grid.n_modes, 0.0, k, 2)
+    dz1 = lam(phi1).coeffs
     weight = mode_multiplicity(grid.n_modes)[:, None]
 
     phi2 = out_phi = zero_strip(grid)
@@ -271,15 +289,23 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     increments: list[float] = []
     sol = None
     last_inc_field = None
-    g1 = g2 = None
     converged = False
     mixed_from = None
     history: deque = deque(maxlen=MIX_WINDOW)   # (ΔP(φ₂), ΔP(∂₂φ₂), Δincrement)
     for sweep in range(1, max_iter + 1):
-        u1v, u2v = values_stack([dx(phi1 + phi2), dz1 + dz2], m)
-        g1, g2 = project_stack([-(q11v * u1v + q12v * u2v),
-                                -(q12v * u1v + q22v * u2v)], phi1)
-        sol = poisson_divform(g1, g2)
+        spec[..., k:] = 0.0                     # padding, from the last rfft
+        np.add(phi1.coeffs, phi2.coeffs, out=u1h)
+        np.multiply(dx_symbol, u1h, out=u1h)
+        np.add(dz1, dz2.coeffs, out=u2h)
+        u1v, u2v = np.fft.irfft(spec, n=m, axis=-1, norm="forward", out=vals)
+        np.multiply(nq12, u1v, out=s1)
+        np.multiply(nq12, u2v, out=s2)
+        np.multiply(nq11, u1v, out=u1v)
+        np.add(u1v, s2, out=u1v)                # g₁ = −Q¹₁u₁ − Q¹₂u₂
+        np.multiply(nq22, u2v, out=u2v)
+        np.add(s1, u2v, out=u2v)                # g₂ = −Q¹₂u₁ − Q²₂u₂
+        np.fft.rfft(vals, axis=-1, norm="forward", out=spec)
+        sol = poisson_divform(g1v, g2v)
         inc_field = sol.phi - phi2
         inc = strip_norm(inc_field, NormSpec(0.0, 0.0, 0))
         increments.append(inc)
@@ -314,6 +340,8 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
             f"Picard did not reach tol={tol:g} in {max_iter} iterations "
             f"(last increment {increments[-1]:.3e})")
 
+    # the converged sweep's forcing, copied out of the workspace
+    g1, g2 = StripField(grid, g1v.coeffs), StripField(grid, g2v.coeffs)
     xi = phi1.trace()
     d2trace = second_trace_primary(bundle, xi, sol.dz_trace, g1)
     traces = TraceSet(dphi1_dz0=lam(xi), dphi2_dz0=sol.dz_trace,

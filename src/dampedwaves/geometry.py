@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DiffeomorphismError
-from .spectral import (RealField, SpectrumField, _check_n_modes, dx,
+from .spectral import (RealField, SpectrumField, _adopt, _check_n_modes, dx,
                        hermitian_fill, lam, mode_numbers, pad_size, project,
                        project_stack, values_on_grid, values_stack)
 
@@ -101,7 +101,7 @@ class StripField(RealField):
         return self.grid.n_modes
 
     def _like(self, coeffs: np.ndarray) -> "StripField":
-        return StripField(self.grid, coeffs)
+        return _adopt(StripField, coeffs, grid=self.grid)
 
     def _from_half(self, half: np.ndarray) -> "StripField":
         return StripField(self.grid, half[:self.grid.n_modes // 2])

@@ -56,8 +56,9 @@ def mode_numbers(n_modes: int) -> np.ndarray:
 class RealField:
     """Arithmetic of a real field whose coeffs hold the modes along axis 0;
     subclasses define `_like(coeffs)`, a field of the same kind and grid
-    from coeffs in its own storage, and `_from_half(half)`, one from the
-    modes 0..N/2−1 along axis 0 (extra rows ignored)."""
+    that adopts coeffs, a fresh array in its own storage, without a copy,
+    and `_from_half(half)`, a copied one from the modes 0..N/2−1 along
+    axis 0 (extra rows ignored)."""
 
     coeffs: np.ndarray
 
@@ -98,7 +99,8 @@ class SpectrumField(RealField):
         object.__setattr__(self, "coeffs", c)
 
     def _like(self, coeffs: np.ndarray) -> "SpectrumField":
-        return SpectrumField(coeffs)
+        coeffs[coeffs.size // 2] = 0.0  # e.g. negation leaves −0.0 there
+        return _adopt(SpectrumField, coeffs)
 
     def _from_half(self, half: np.ndarray) -> "SpectrumField":
         return SpectrumField(hermitian_fill(half, self.n_modes))
@@ -115,6 +117,17 @@ class SpectrumField(RealField):
         c = self.coeffs
         cr = np.roll(c[::-1], 1)  # entry at −n
         return float(np.max(np.abs(cr - np.conj(c))))
+
+
+def _adopt(cls: type, coeffs: np.ndarray, **attrs) -> RealField:
+    """A cls field that holds coeffs itself, not a copy, plus attrs: for a
+    fresh complex array of the right shape (not checked) that nothing else
+    writes while the field is in use."""
+    f = object.__new__(cls)
+    object.__setattr__(f, "coeffs", coeffs)
+    for name, value in attrs.items():
+        object.__setattr__(f, name, value)
+    return f
 
 
 def zero_field(n_modes: int) -> SpectrumField:

@@ -32,19 +32,24 @@ def frontier_data(a: float, n: int) -> tuple[sp.SpectrumField, sp.SpectrumField]
             sp.sine(1, a, n) + sp.sine(5, a / 3, n))
 
 
+def reference_sweep(bundle, phi1, phi2, dz2):
+    """One Picard sweep P(φ₂) = Poisson(−Q∇(φ₁+φ₂)) written with
+    values_stack and project_stack: (g₁, g₂, PoissonSolution)."""
+    m = sp.pad_size(bundle.grid.n_modes, 2)
+    q11v, q12v, q22v = sp.values_stack([bundle.q11, bundle.q12, bundle.q22], m)
+    u1v, u2v = sp.values_stack([sp.dx(phi1 + phi2), sp.lam(phi1) + dz2], m)
+    g1, g2 = sp.project_stack([-(q11v * u1v + q12v * u2v),
+                               -(q12v * u1v + q22v * u2v)], phi1)
+    return g1, g2, el.poisson_divform(g1, g2)
+
+
 def plain_picard(bundle, phi1, tol, max_iter):
     """φ₂ ← Poisson(−Q∇(φ₁+φ₂)) from φ₂ = 0, unmixed, in the order
     solve_phi2 runs its sweeps: (φ₂, ∂₂φ₂, increments)."""
-    m = sp.pad_size(bundle.grid.n_modes, 2)
-    q11v, q12v, q22v = sp.values_stack([bundle.q11, bundle.q12, bundle.q22], m)
-    dz1 = sp.lam(phi1)
     phi2 = dz2 = geo.zero_strip(bundle.grid)
     increments = []
     for _ in range(max_iter):
-        u1v, u2v = sp.values_stack([sp.dx(phi1 + phi2), dz1 + dz2], m)
-        g1, g2 = sp.project_stack([-(q11v * u1v + q12v * u2v),
-                                   -(q12v * u1v + q22v * u2v)], phi1)
-        sol = el.poisson_divform(g1, g2)
+        _, _, sol = reference_sweep(bundle, phi1, phi2, dz2)
         increments.append(strip_norm(sol.phi - phi2, NormSpec(0.0, 0.0, 0)))
         phi2, dz2 = sol.phi, sol.dzphi
         if increments[-1] <= tol:
@@ -237,6 +242,21 @@ class TestSolvePhi2:
 
     def test_one_half_band_poisson_solve_per_mixed_sweep(self, monkeypatch):
         self._count_poisson_solves(monkeypatch, *frontier_data(0.2, 16), mixes=True)
+
+    @pytest.mark.parametrize("a", [0.05, 0.2])      # plain Picard; mixed at 0.2
+    def test_workspace_sweep_is_bitwise_reference_sweep(self, a):
+        grid = geo.StripGrid(16, depth=8.0, n_depth=64)
+        h, xi = frontier_data(a, 16)
+        bundle = geo.build_geometry(h, grid)
+        phi1 = el.solve_phi1(xi, grid)
+        assert (el.solve_phi2(bundle, phi1).mixed_from is not None) == (a == 0.2)
+        sol = el.solve_phi2(bundle, phi1, tol=np.inf)     # one sweep
+        zero = geo.zero_strip(grid)
+        g1, g2, ref = reference_sweep(bundle, phi1, zero, zero)
+        assert sol.picard_iters == 1
+        for got, want in ((sol.g1, g1), (sol.g2, g2), (sol.phi2, ref.phi),
+                          (sol.dzphi2, ref.dzphi)):
+            assert np.array_equal(got.coeffs, want.coeffs)
 
     def test_fd_residual_oracle(self):
         grid = geo.StripGrid(32, depth=8.0, n_depth=513)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
 from dampedwaves.errors import ConfigurationError, NumericsError, SingularityError
 
@@ -204,6 +205,20 @@ class TestInvariants:
         c = np.ones(16, dtype=np.complex128)
         f = sp.SpectrumField(c)
         assert f.coeffs[8] == 0.0
+
+    def test_arithmetic_adopts_fresh_arrays_constructors_copy(self):
+        c = np.ones(16, dtype=np.complex128)
+        f = sp.SpectrumField(c)
+        c[1] = 5.0
+        assert f.coeffs[1] == 1.0 and f.coeffs[8] == 0.0 and c[8] == 1.0
+        for g in (-f, sp.dx(f), f - f, f * -1.0):
+            assert g.coeffs is not f.coeffs and g.coeffs.flags.writeable
+            assert g.coeffs[8] == 0.0 and not np.signbit(g.coeffs[8].real)
+        grid = geo.StripGrid(8, n_depth=8)
+        s = geo.StripField(grid, np.ones((4, 8), dtype=np.complex128))
+        fresh = s.coeffs * 2.0
+        assert s._like(fresh).coeffs is fresh
+        assert geo.StripField(grid, fresh).coeffs is not fresh
 
 
 class TestHalfBand:
