@@ -239,8 +239,11 @@ def _mixing_coefficients(dfs: list[np.ndarray], f: np.ndarray,
 
 
 def solve_phi2(bundle: GeometryBundle, phi1: StripField,
-               tol: float = 1e-10, max_iter: int = 25) -> EllipticSolution:
-    """Fixed-point iteration φ₂ ← P(φ₂) = Poisson(−Q∇(φ₁+φ₂)), φ₂⁽⁰⁾ = 0.
+               tol: float = 1e-10, max_iter: int = 25,
+               start: tuple[StripField, StripField] | None = None) -> EllipticSolution:
+    """Fixed-point iteration φ₂ ← P(φ₂) = Poisson(−Q∇(φ₁+φ₂)) from
+    start = (φ₂⁽⁰⁾, ∂₂φ₂⁽⁰⁾), zero when None.  A start near the solution
+    (a nearby state's φ₂) saves sweeps; it is only read.
 
     Plain Picard while the increments contract fast.  Once an increment
     exceeds MIX_SWITCH_RATIO times the one before, every later sweep is fed
@@ -284,8 +287,8 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     dz1 = lam(phi1).coeffs
     weight = mode_multiplicity(grid.n_modes)[:, None]
 
-    phi2 = out_phi = zero_strip(grid)
-    dz2 = out_dz = zero_strip(grid)
+    phi2, dz2 = start if start is not None else (zero_strip(grid),) * 2
+    out_phi, out_dz = phi2, dz2
     increments: list[float] = []
     sol = None
     last_inc_field = None

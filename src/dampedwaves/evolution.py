@@ -35,8 +35,8 @@ from functools import lru_cache
 import numpy as np
 
 from .elliptic import EllipticSolution, gradient_norm, solve_phi1, solve_phi2
-from .errors import ConfigurationError
-from .geometry import StripGrid, build_geometry
+from .errors import ConfigurationError, NumericsError
+from .geometry import StripField, StripGrid, build_geometry
 from .spectral import (SpectrumField, dx, dxx, lam, mode_numbers, mollify,
                        pad_size, project_stack, values_stack)
 
@@ -88,14 +88,16 @@ class RhsEval:
 
 
 def evaluate_rhs(state: SimState, params: ModelParams, grid: StripGrid,
-                 opts: StepOptions = StepOptions()) -> RhsEval:
-    """Full right-hand sides of the boundary system at one state."""
+                 opts: StepOptions = StepOptions(),
+                 phi2_start: tuple[StripField, StripField] | None = None) -> RhsEval:
+    """Full right-hand sides of the boundary system at one state; the φ₂
+    solve starts from phi2_start (see solve_phi2)."""
     h, xi = state.h, state.xi
     hk = mollify(h, params.kappa)
     xik = mollify(xi, params.kappa)
     bundle = build_geometry(params.epsilon * hk, grid, margin_min=opts.margin_min)
     esol = solve_phi2(bundle, solve_phi1(xik, grid), tol=opts.picard_tol,
-                      max_iter=opts.picard_max_iter)
+                      max_iter=opts.picard_max_iter, start=phi2_start)
     b = bundle.boundary                       # = ε h^κ
     mpad = pad_size(h.n_modes, 4)
 
@@ -193,6 +195,7 @@ class StepInfo:
     picard_iters: int
     bulk_gradient: float | None = None   # gradient_norm at the input state
     mixed_solves: int = 0                # solves that switched to Anderson mixing
+    phi2: tuple[StripField, StripField] | None = None   # first-stage (φ₂, ∂₂φ₂)
 
 
 def _pack(state: SimState) -> np.ndarray:
@@ -208,15 +211,30 @@ def _apply(p, u: np.ndarray) -> np.ndarray:
     return np.array([p11 * u[0] + p12 * u[1], p21 * u[0] + p22 * u[1]])
 
 
+def _finite(u: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(u)):
+        raise NumericsError(f"non-finite coefficient in the {what}")
+    return u
+
+
 def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
-         opts: StepOptions = StepOptions(),
-         record: bool = False) -> tuple[SimState, StepInfo]:
+         opts: StepOptions = StepOptions(), record: bool = False,
+         phi2_prev: tuple[StripField, StripField] | None = None
+         ) -> tuple[SimState, StepInfo]:
     """One Lawson–Heun step: u¹ = P u⁰ + (dt/2)(P N(u⁰) + N(P(u⁰ + dt N(u⁰)))).
 
     Exact (to round-off) for the pure linear system; the interface mean is
     re-projected to zero afterwards, recording the drift removed.  With
     record set, the info carries gradient_norm of the elliptic solution the
     step made at the input state (None when linear_only solves none).
+
+    The first-stage φ₂ solve at u⁰ starts from zero, so it is the solve
+    any other caller makes at that state; info.phi2 is its (φ₂, ∂₂φ₂).  The
+    predictor solve starts from the extrapolation 2φ₂(u⁰) − φ₂(u⁻¹), O(dt²)
+    from its solution, with phi2_prev = φ₂(u⁻¹) the previous step's
+    info.phi2, whose arrays it overwrites; without phi2_prev from φ₂(u⁰).
+    Raises NumericsError when the predictor or the new state has a
+    non-finite coefficient.
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
@@ -225,6 +243,7 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
     iters = 0
     mixed = 0
     bulk = None
+    phi2 = None
 
     if opts.linear_only:
         u1 = _apply(p, u0)
@@ -235,22 +254,29 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
         if record:
             bulk = gradient_norm(r0.solution.phi1, r0.solution.phi2,
                                  r0.solution.dzphi2)
+        phi2 = (r0.solution.phi2, r0.solution.dzphi2)
         k1 = np.array([r0.xi_t.coeffs, r0.h_t.coeffs]) - _apply_linear(factors, u0)
         del r0                                # freed before the second solve
-        u_pred = _apply(p, u0 + dt * k1)
+        u_pred = _finite(_apply(p, u0 + dt * k1), "predictor state")
         pred = _unpack(u_pred, state.t + dt)
-        r1 = evaluate_rhs(pred, params, grid, opts)
+        start = phi2
+        if phi2_prev is not None:             # in place: (c − p) + c
+            for cur, prev in zip(phi2, phi2_prev):
+                np.subtract(cur.coeffs, prev.coeffs, out=prev.coeffs)
+                np.add(prev.coeffs, cur.coeffs, out=prev.coeffs)
+            start = phi2_prev
+        r1 = evaluate_rhs(pred, params, grid, opts, phi2_start=start)
         iters = max(iters, r1.solution.picard_iters)
         mixed += r1.solution.mixed_from is not None
         k2 = np.array([r1.xi_t.coeffs, r1.h_t.coeffs]) - _apply_linear(factors, u_pred)
         u1 = _apply(p, u0) + 0.5 * dt * (_apply(p, k1) + k2)
 
-    drift = abs(u1[1][0])
+    drift = abs(_finite(u1, "new state")[1][0])
     u1[1][0] = 0.0
     return _unpack(u1, state.t + dt), StepInfo(mean_drift=float(drift),
                                                picard_iters=iters,
                                                bulk_gradient=bulk,
-                                               mixed_solves=mixed)
+                                               mixed_solves=mixed, phi2=phi2)
 
 
 @dataclass(frozen=True)
@@ -300,10 +326,16 @@ def run(h0: SpectrumField, xi0: SpectrumField, params: ModelParams,
     max_drift = 0.0
     max_iters = 0
     mixed = 0
+    phi2 = None                 # the last step's first-stage φ₂, for one step
     for i in range(n_steps):
         # the state entering step i was recorded exactly when i % record_every == 0
-        state, info = step(state, params, grid, dt, opts,
-                           record=i % record_every == 0)
+        try:
+            state, info = step(state, params, grid, dt, opts,
+                               record=i % record_every == 0, phi2_prev=phi2)
+        except NumericsError as exc:
+            raise NumericsError(f"step {i + 1} of {n_steps} "
+                                f"(t = {state.t:.6g} -> {state.t + dt:.6g}): {exc}") from exc
+        phi2 = info.phi2
         if info.bulk_gradient is not None:
             bulk[-1] = info.bulk_gradient
         max_drift = max(max_drift, info.mean_drift)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import platform
@@ -193,6 +194,22 @@ class TestCli:
         monkeypatch.setenv("DAMPEDWAVES_OUTDIR", str(target))
         assert run_cli("run", "--config", str(tiny_config)) == 0
         assert (target / "series.csv").exists()
+
+    def test_non_finite_state_exits_3_naming_its_step(self, tiny_config, tmp_path,
+                                                       monkeypatch, capsys):
+        monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
+        calls, rhs = [], ev.evaluate_rhs
+
+        def nan_at_third_predictor(*args, **kwargs):
+            r = rhs(*args, **kwargs)
+            calls.append(1)
+            return dataclasses.replace(r, xi_t=r.xi_t * np.nan) if len(calls) == 6 else r
+
+        monkeypatch.setattr(ev, "evaluate_rhs", nan_at_third_predictor)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(tiny_config), "--output-dir", str(out)) == 3
+        assert ("run aborted: step 3 of 15 (t = 0.004 -> 0.006): non-finite "
+                "coefficient in the new state") in capsys.readouterr().err
 
     def test_run_bad_config_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)

@@ -250,13 +250,29 @@ class TestSolvePhi2:
         bundle = geo.build_geometry(h, grid)
         phi1 = el.solve_phi1(xi, grid)
         assert (el.solve_phi2(bundle, phi1).mixed_from is not None) == (a == 0.2)
-        sol = el.solve_phi2(bundle, phi1, tol=np.inf)     # one sweep
         zero = geo.zero_strip(grid)
-        g1, g2, ref = reference_sweep(bundle, phi1, zero, zero)
-        assert sol.picard_iters == 1
-        for got, want in ((sol.g1, g1), (sol.g2, g2), (sol.phi2, ref.phi),
-                          (sol.dzphi2, ref.dzphi)):
-            assert np.array_equal(got.coeffs, want.coeffs)
+        first = el.solve_phi2(bundle, phi1, tol=np.inf)     # one sweep from 0
+        for start in ((zero, zero), (first.phi2, first.dzphi2)):
+            sol = el.solve_phi2(bundle, phi1, tol=np.inf, start=start)
+            g1, g2, ref = reference_sweep(bundle, phi1, *start)
+            assert sol.picard_iters == 1
+            for got, want in ((sol.g1, g1), (sol.g2, g2), (sol.phi2, ref.phi),
+                              (sol.dzphi2, ref.dzphi)):
+                assert np.array_equal(got.coeffs, want.coeffs)
+
+    @pytest.mark.parametrize("a", [0.05, 0.2])
+    def test_warm_start_agrees_with_cold_solve(self, a):
+        # started from the solution at a nearby state, as the Heun predictor is
+        grid = geo.StripGrid(16, depth=8.0, n_depth=64)
+        h, xi = frontier_data(a, 16)
+        near = el.solve_phi2(geo.build_geometry(h, grid), el.solve_phi1(xi, grid))
+        bundle = geo.build_geometry(1.01 * h, grid)
+        phi1 = el.solve_phi1(1.01 * xi, grid)
+        tol = 1e-10
+        cold = el.solve_phi2(bundle, phi1, tol=tol)
+        warm = el.solve_phi2(bundle, phi1, tol=tol, start=(near.phi2, near.dzphi2))
+        assert warm.picard_iters < cold.picard_iters
+        assert strip_norm(warm.phi2 - cold.phi2, NormSpec(0.0, 0.0, 0)) <= 10 * tol
 
     def test_fd_residual_oracle(self):
         grid = geo.StripGrid(32, depth=8.0, n_depth=513)

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from dampedwaves import elliptic as el
 from dampedwaves import evolution as ev
 from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
-from dampedwaves.errors import ConfigurationError
+from dampedwaves.errors import ConfigurationError, NumericsError
 from dampedwaves.harness import linear_exponential
 
 
@@ -211,6 +214,73 @@ class TestStep:
                                    sp.mode_numbers(16))
             assert np.max(np.abs(state.xi.coeffs - ref[0])) < 1e-10
             assert np.max(np.abs(state.h.coeffs - ref[1])) < 1e-10
+
+
+def nan_rhs_at_call(monkeypatch, n: int) -> None:
+    """evaluate_rhs whose n-th call returns ξ_t = NaN."""
+    calls, rhs = [], ev.evaluate_rhs
+
+    def patched(*args, **kwargs):
+        r = rhs(*args, **kwargs)
+        calls.append(1)
+        return dataclasses.replace(r, xi_t=r.xi_t * np.nan) if len(calls) == n else r
+    monkeypatch.setattr(ev, "evaluate_rhs", patched)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("call, what", [(5, "predictor state"), (6, "new state")])
+    def test_run_names_the_step(self, monkeypatch, call, what):
+        # calls 5 and 6 are the third step's two right-hand sides
+        nan_rhs_at_call(monkeypatch, call)
+        with pytest.raises(NumericsError, match=rf"^step 3 of 5 \(t = 0.02 -> 0.03\): "
+                                                rf"non-finite coefficient in the {what}$"):
+            ev.run(sp.cosine(1, 0.01, 16), sp.sine(1, 0.01, 16),
+                   ev.ModelParams(alpha=1.0), small_grid(16, 64), 1e-2, 0.05)
+
+
+class TestPredictorStart:
+    """The predictor's φ₂ solve starts from 2φ₂(uⁿ) − φ₂(uⁿ⁻¹)."""
+
+    def test_predictor_solves_take_fewer_sweeps(self, monkeypatch):
+        stages, sweeps = [], {"first": 0, "predictor": 0}
+        solve, poisson = ev.solve_phi2, el.poisson_divform
+
+        def counted_solve(*args, start=None, **kwargs):
+            stages.append("first" if start is None else "predictor")
+            return solve(*args, start=start, **kwargs)
+
+        def counted_poisson(*args, **kwargs):
+            sweeps[stages[-1]] += 1
+            return poisson(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "solve_phi2", counted_solve)
+        monkeypatch.setattr(el, "poisson_divform", counted_poisson)
+        # the decay run's data (small_two_mode, |h₀|₁ + |ξ₀|₁ = 0.01) on 64 × 64
+        a = 0.01 / 7.0
+        h0 = sp.cosine(1, a, 64) + sp.cosine(2, 0.5 * a, 64)
+        xi0 = sp.sine(1, a, 64) + sp.sine(2, 0.5 * a, 64)
+        ev.run(h0, xi0, ev.ModelParams(alpha=3.0, mu=1.0), small_grid(64, 64),
+               1e-3, 0.01, record_every=5)
+        assert stages == ["first", "predictor"] * 10
+        assert sweeps["predictor"] < sweeps["first"]
+
+    def test_step_extrapolates_in_place_and_hands_on_its_first_stage(self, monkeypatch):
+        grid = small_grid(16, 64)
+        params = ev.ModelParams(alpha=1.0)
+        state = ev.SimState(sp.cosine(1, 0.05, 16), sp.sine(1, 0.05, 16), 0.0)
+        _, info0 = ev.step(state, params, grid, 1e-2)
+        # the first stage is the cold solve at the input state (κ = 0, ε = 1)
+        cur = el.solve_phi2(geo.build_geometry(state.h, grid), el.solve_phi1(state.xi, grid))
+        assert all(np.array_equal(a.coeffs, b.coeffs)
+                   for a, b in zip(info0.phi2, (cur.phi2, cur.dzphi2)))
+        starts, solve = [], ev.solve_phi2
+        monkeypatch.setattr(ev, "solve_phi2", lambda *a, start=None, **kw:
+                            starts.append(start) or solve(*a, start=start, **kw))
+        prev = tuple(geo.StripField(grid, 0.5 * f.coeffs) for f in info0.phi2)
+        ev.step(state, params, grid, 1e-2, phi2_prev=prev)
+        assert starts[0] is None and starts[1] is prev
+        for got, c in zip(prev, info0.phi2):
+            assert np.allclose(got.coeffs, 1.5 * c.coeffs, rtol=1e-14, atol=0.0)
 
 
 class TestHermitianStability:
