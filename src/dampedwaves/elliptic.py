@@ -23,6 +23,16 @@ second-order accurate uniformly in n, run as one blocked scan: positive
 exponents e^{θr} occur only inside a block, with θr <= SCAN_MAX_EXPONENT.
 Mode 0 degenerates (the kernels carry 1/n) and is solved by direct
 integration of ∂₂g₂.
+
+Every field of a sweep is built from harmonic extensions, so mode n of the
+forcing at depth x₂ is of size e^{n·x₂} against its top value.  The sweep
+therefore forms g = −Q∇(φ₁+φ₂) in depth blocks (_depth_blocks): a block
+keeps the modes below its cap K and transforms on 3K points, and it drops
+mode n at depth x₂ only where n·|x₂| > ROUNDOFF_EXPONENT = 42, a relative
+size under e^{−42} ≈ 6e-19, far below one ulp of the largest entry.  The
+Poisson kernels are bounded by 1, so the dropped entries move φ₂ by no
+more than round-off; a grid whose rows all keep N/2 modes sweeps in one
+block, as before.
 """
 
 from __future__ import annotations
@@ -72,6 +82,25 @@ def _product_trapezoid_weights(theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 SCAN_MAX_EXPONENT = 300.0   # bound on θ·(k − k₀) inside a scan block (overflow safety)
+ROUNDOFF_EXPONENT = 42.0    # the sweep drops mode n at depth z only where n·|z| exceeds
+                            # this: e^{−42} ≈ 6e-19 of the top size, under round-off
+
+
+@lru_cache(maxsize=16)
+def _depth_blocks(grid: StripGrid) -> tuple[tuple[int, int, int], ...]:
+    """Contiguous depth-row blocks (start, stop, K), bottom up, that cover
+    the rows: a block's sweep keeps the modes 0..K−1.  Each row takes the
+    smallest cap K of N/2, N/4, … (K >= 4) with K·|z| > ROUNDOFF_EXPONENT,
+    and N/2 when there is none, so every dropped (n, z) has
+    n·|z| > ROUNDOFF_EXPONENT and the caps grow towards the top."""
+    depth = -grid.z
+    cap = np.full(grid.n_depth, grid.n_modes // 2)
+    k = grid.n_modes // 4
+    while k >= 4:
+        cap[k * depth > ROUNDOFF_EXPONENT] = k
+        k //= 2
+    edges = [0, *(np.flatnonzero(np.diff(cap)) + 1).tolist(), grid.n_depth]
+    return tuple((lo, hi, int(cap[lo])) for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 @lru_cache(maxsize=16)
@@ -253,13 +282,19 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     differences (see _mixing_coefficients); a singular fit falls back to the
     plain P(φ₂) for that sweep.  Every sweep is one poisson_divform call.
 
-    The sweeps share one workspace, allocated per solve: −Q sampled once on
-    the pad_size(N, 2) grid; one zero-padded half-spectrum buffer, into which
-    a sweep writes ∂₁(φ₁+φ₂) and ∂₂(φ₁+φ₂) and its rfft writes the forcing
-    g₁, g₂, which poisson_divform reads through field views without a copy;
-    the samples, turned into g in place; and two scratch planes.  The
-    arithmetic is that of values_stack, the pointwise products and
-    project_stack, in the same order, so a sweep is bitwise the same.
+    The sweeps share one workspace, allocated per solve, per depth block
+    (_depth_blocks) of cap K: −Q from its modes < K on the block's rows,
+    sampled once on pad_size(2K, 2) = 3K points; one zero-padded
+    half-spectrum buffer, into which a sweep writes ∂₁(φ₁+φ₂) and
+    ∂₂(φ₁+φ₂) of the modes < K and its rfft writes g₁, g₂; the samples,
+    turned into g in place; and two scratch planes.  Each block places its
+    modes < K in one (2, N/2, N_z) forcing, zeroed once per solve so that
+    the dropped entries stay exactly 0, which poisson_divform reads through
+    field views without a copy.  A dropped (n, x₂) has n·|x₂| >
+    ROUNDOFF_EXPONENT, so the blocks move the result by round-off only (see
+    the module docstring).  The arithmetic of a block is that of
+    values_stack, the pointwise products and project_stack, in the same
+    order, so a one-block sweep is bitwise the same.
 
     Stops when the successive-iterate change P(φ₂) − φ₂ in the k=0 strip norm
     falls below tol and returns the last P(φ₂).  Raises ContractionError when
@@ -272,20 +307,25 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
         raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
     if bundle.diffeo_margin <= 0:
         raise ContractionError("geometry margin is not positive")
-    k, nz, m = grid.n_modes // 2, grid.n_depth, pad_size(grid.n_modes, 2)
-    # sweep workspace, depth-major (N_z, m) like the transforms' lines;
-    # −(a·b + c·d) = (−a)·b + (−c)·d exactly, negation being exact
-    nq11, nq12, nq22 = np.negative(
-        values_stack([bundle.q11, bundle.q12, bundle.q22], m)).swapaxes(1, -1)
-    # the half spectra: ∂₁(φ₁+φ₂), ∂₂(φ₁+φ₂) in, the forcing g₁, g₂ out
-    spec = np.zeros((2, nz, m // 2 + 1), dtype=np.complex128)
-    u1h, u2h = spec[0, :, :k].T, spec[1, :, :k].T          # (N/2, N_z) views
-    g1v, g2v = phi1._like(u1h), phi1._like(u2h)
-    vals = np.empty((2, nz, m))                 # samples of u, then of g
-    s1, s2 = np.empty((2, nz, m))
+    k = grid.n_modes // 2
     dx_symbol = _fixed_symbol("dx", grid.n_modes, 0.0, k, 2)
     dz1 = lam(phi1).coeffs
     weight = mode_multiplicity(grid.n_modes)[:, None]
+    # the forcing g₁, g₂ that poisson_divform reads; a block's modes >= K stay 0
+    forcing = np.zeros((2, k, grid.n_depth), dtype=np.complex128)
+    g1v, g2v = phi1._like(forcing[0]), phi1._like(forcing[1])
+    blocks = []
+    for lo, hi, cap in _depth_blocks(grid):
+        m = pad_size(2 * cap, 2)
+        # the block's half spectra, depth-major (rows, m/2+1) like the
+        # transforms' lines: −Q once, then per sweep ∂₁(φ₁+φ₂), ∂₂(φ₁+φ₂) in
+        # and g₁, g₂ out; −(a·b + c·d) = (−a)·b + (−c)·d exactly
+        spec = np.zeros((3, hi - lo, m // 2 + 1), dtype=np.complex128)
+        for plane, q in zip(spec, (bundle.q11, bundle.q12, bundle.q22)):
+            plane[:, :cap] = q.coeffs[:cap, lo:hi].T
+        nq = np.negative(np.fft.irfft(spec, n=m, axis=-1, norm="forward"))
+        blocks.append((lo, hi, cap, nq, spec[:2], np.empty((2, hi - lo, m)),
+                       np.empty((2, hi - lo, m))))
 
     phi2, dz2 = start if start is not None else (zero_strip(grid),) * 2
     out_phi, out_dz = phi2, dz2
@@ -296,18 +336,22 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     mixed_from = None
     history: deque = deque(maxlen=MIX_WINDOW)   # (ΔP(φ₂), ΔP(∂₂φ₂), Δincrement)
     for sweep in range(1, max_iter + 1):
-        spec[..., k:] = 0.0                     # padding, from the last rfft
-        np.add(phi1.coeffs, phi2.coeffs, out=u1h)
-        np.multiply(dx_symbol, u1h, out=u1h)
-        np.add(dz1, dz2.coeffs, out=u2h)
-        u1v, u2v = np.fft.irfft(spec, n=m, axis=-1, norm="forward", out=vals)
-        np.multiply(nq12, u1v, out=s1)
-        np.multiply(nq12, u2v, out=s2)
-        np.multiply(nq11, u1v, out=u1v)
-        np.add(u1v, s2, out=u1v)                # g₁ = −Q¹₁u₁ − Q¹₂u₂
-        np.multiply(nq22, u2v, out=u2v)
-        np.add(s1, u2v, out=u2v)                # g₂ = −Q¹₂u₁ − Q²₂u₂
-        np.fft.rfft(vals, axis=-1, norm="forward", out=spec)
+        for lo, hi, cap, (nq11, nq12, nq22), spec, vals, (s1, s2) in blocks:
+            u1h, u2h = u_h = spec[..., :cap].swapaxes(1, 2)     # (2, K, rows) views
+            spec[..., cap:] = 0.0               # padding, from the last rfft
+            np.add(phi1.coeffs[:cap, lo:hi], phi2.coeffs[:cap, lo:hi], out=u1h)
+            np.multiply(dx_symbol[:cap], u1h, out=u1h)
+            np.add(dz1[:cap, lo:hi], dz2.coeffs[:cap, lo:hi], out=u2h)
+            u1v, u2v = np.fft.irfft(spec, n=vals.shape[-1], axis=-1, norm="forward",
+                                    out=vals)
+            np.multiply(nq12, u1v, out=s1)
+            np.multiply(nq12, u2v, out=s2)
+            np.multiply(nq11, u1v, out=u1v)
+            np.add(u1v, s2, out=u1v)            # g₁ = −Q¹₁u₁ − Q¹₂u₂
+            np.multiply(nq22, u2v, out=u2v)
+            np.add(s1, u2v, out=u2v)            # g₂ = −Q¹₂u₁ − Q²₂u₂
+            np.fft.rfft(vals, axis=-1, norm="forward", out=spec)
+            forcing[:, :cap, lo:hi] = u_h
         sol = poisson_divform(g1v, g2v)
         inc_field = sol.phi - phi2
         inc = strip_norm(inc_field, NormSpec(0.0, 0.0, 0))

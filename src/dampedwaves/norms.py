@@ -19,13 +19,14 @@ explicit constants 𝓀_q and K_{r,s,n}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericsError
 from .geometry import StripField, StripGrid, harmonic_extension, mode_multiplicity
-from .spectral import (SpectrumField, lam, pointwise_apply, pointwise_power,
-                       pointwise_product, reciprocal_guard)
+from .spectral import (SpectrumField, lam, mode_numbers, pointwise_apply,
+                       pointwise_power, pointwise_product, reciprocal_guard)
 
 DEFAULT_SLACK = 1e-9          # analytic checks
 QUADRATURE_SLACK = 1e-6       # checks involving depth quadrature
@@ -67,6 +68,15 @@ def _weights(modes: np.ndarray, s: float, lam_: float) -> np.ndarray:
     return (1.0 + absn) ** s * np.exp(lam_ * absn)
 
 
+@lru_cache(maxsize=32)
+def _strip_weights(n_modes: int, s: float, lam_: float) -> np.ndarray:
+    """The strip norm's weights of the stored modes, multiplicity included
+    (shared, read-only)."""
+    w = mode_multiplicity(n_modes) * _weights(mode_numbers(n_modes)[:n_modes // 2], s, lam_)
+    w.setflags(write=False)
+    return w
+
+
 def wiener_norm(f: SpectrumField, spec: NormSpec) -> float:
     a = np.abs(f.coeffs)
     if not np.all(np.isfinite(a)):
@@ -94,7 +104,7 @@ def strip_norm_report(u: StripField, spec: NormSpec, acc: int = 4) -> tuple[floa
     grid = u.grid
     per_mode = np.trapezoid(a, dx=grid.dz, axis=1)
     tail_per_mode = a[:, 0] / np.maximum(grid.modes.astype(float), 1.0)
-    w = mode_multiplicity(grid.n_modes) * _weights(grid.modes, spec.s, spec.lam)
+    w = _strip_weights(grid.n_modes, spec.s, spec.lam)
     tail = float(np.sum(w * tail_per_mode))
     return float(np.sum(w * per_mode)) + tail, tail
 

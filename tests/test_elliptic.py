@@ -11,7 +11,7 @@ from dampedwaves import spectral as sp
 from dampedwaves.config import initial_data, parse_config
 from dampedwaves.errors import ContractionError
 from dampedwaves.norms import NormSpec, strip_norm
-from dampedwaves.harness import (elliptic_bound_trials,
+from dampedwaves.harness import (elliptic_bound_trials, random_boundary_field,
                                  manufactured_solution_errors,
                                  random_strip_field)
 
@@ -331,18 +331,21 @@ class TestAndersonMixing:
         ref = el.solve_phi2(bundle, phi1, tol=1e-13, max_iter=40)
         assert rel_diff(sol.phi2, ref.phi2) <= 1e-7
 
-    def test_small_amplitude_is_bitwise_plain_picard(self, workload_problem):
+    def test_small_amplitude_is_bitwise_plain_picard(self, workload_problem, monkeypatch):
+        # the same bits as a solve that can never switch to mixing
         grid = geo.StripGrid(64, depth=8.0, n_depth=256)    # criterion 6
         crit6 = (geo.build_geometry(sp.cosine(1, 0.01, 64) + sp.cosine(2, 0.0033, 64), grid),
                  el.solve_phi1(sp.sine(1, 0.01, 64), grid), 1e-12, 20)
         decay = (*workload_problem("decay_64x192"), 1e-10, 25)
         for bundle, phi1, tol, max_iter in (crit6, decay):
             sol = el.solve_phi2(bundle, phi1, tol=tol, max_iter=max_iter)
-            phi2, dz2, increments = plain_picard(bundle, phi1, tol, max_iter)
+            with monkeypatch.context() as m:
+                m.setattr(el, "MIX_SWITCH_RATIO", np.inf)
+                plain = el.solve_phi2(bundle, phi1, tol=tol, max_iter=max_iter)
             assert sol.mixed_from is None
-            assert sol.increments == increments
-            assert np.array_equal(sol.phi2.coeffs, phi2.coeffs)
-            assert np.array_equal(sol.dzphi2.coeffs, dz2.coeffs)
+            assert sol.increments == plain.increments
+            assert np.array_equal(sol.phi2.coeffs, plain.phi2.coeffs)
+            assert np.array_equal(sol.dzphi2.coeffs, plain.dzphi2.coeffs)
 
     def test_steep_mixing_is_no_less_accurate(self, workload_problem):
         bundle, phi1 = workload_problem("steep_128x384")
@@ -380,6 +383,80 @@ class TestAndersonMixing:
         assert el._mixing_coefficients([np.full_like(f, np.nan)], f, w) is None
         gamma = el._mixing_coefficients([f], 2 * f, w)
         assert gamma.dtype == np.float64 and gamma[0] == pytest.approx(2.0)
+
+
+def analytic_data(n: int, seed: int = 0) -> tuple[sp.SpectrumField, sp.SpectrumField]:
+    """Random h and ξ on every mode 1..N/2−1, decaying like e^{−0.3|n|}."""
+    rng = np.random.default_rng(seed)
+    return tuple(random_boundary_field(rng, n, n // 2 - 1, decay=0.3, scale=0.1)
+                 for _ in range(2))
+
+
+class TestDepthBlocks:
+    @pytest.mark.parametrize("n_modes,n_depth,depth", [
+        (8, 48, 8.0), (16, 64, 8.0), (64, 192, 8.0), (64, 256, 8.0),
+        (128, 384, 8.0), (12, 97, 40.0), (256, 129, 40.0)])
+    def test_block_map(self, n_modes, n_depth, depth):
+        grid = geo.StripGrid(n_modes, depth=depth, n_depth=n_depth)
+        blocks = el._depth_blocks(grid)
+        assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]]
+        assert blocks[-1][1] == n_depth and all(lo < hi for lo, hi, _ in blocks)
+        caps = [cap for _, _, cap in blocks]
+        assert caps == sorted(caps) and caps[-1] == n_modes // 2    # bottom up
+        assert all(cap >= 4 for cap in caps[:-1])
+        for lo, hi, cap in blocks:
+            dropped = grid.modes[cap:, None] * np.abs(grid.z[lo:hi])
+            assert np.all(dropped > el.ROUNDOFF_EXPONENT)
+        assert el._depth_blocks(grid) is blocks
+
+    def test_bench_grids(self):
+        def rows_and_caps(n_modes, n_depth):
+            return [(hi - lo, cap) for lo, hi, cap in
+                    el._depth_blocks(geo.StripGrid(n_modes, depth=8.0, n_depth=n_depth))]
+        assert rows_and_caps(8, 48) == [(48, 4)]
+        assert rows_and_caps(16, 64) == [(64, 8)]
+        assert rows_and_caps(64, 192) == [(66, 8), (63, 16), (63, 32)]
+        assert rows_and_caps(128, 384) == [(132, 8), (126, 16), (63, 32), (63, 64)]
+
+    @staticmethod
+    def state(name, workload_problem):
+        """(bundle, φ₁): a workload's initial state, or a = 0.2 frontier or
+        random analytic data on the named grid."""
+        kind, size = name.split("_")
+        if kind in ("decay", "steep"):
+            return workload_problem(name)
+        n, nz = map(int, size.split("x"))
+        grid = geo.StripGrid(n, depth=8.0, n_depth=nz)
+        h, xi = frontier_data(0.2, n) if kind == "frontier" else analytic_data(n)
+        return geo.build_geometry(h, grid), el.solve_phi1(xi, grid)
+
+    STATES = ["decay_64x192", "steep_128x384", "frontier_64x192", "frontier_128x384",
+              "analytic_128x384"]
+
+    @pytest.mark.parametrize("name", STATES)
+    def test_sweep_moves_only_round_off(self, name, workload_problem):
+        bundle, phi1 = self.state(name, workload_problem)
+        assert len(el._depth_blocks(bundle.grid)) > 1
+        zero = geo.zero_strip(bundle.grid)
+        sol = el.solve_phi2(bundle, phi1, tol=1e300, max_iter=1)
+        g1, g2, ref = reference_sweep(bundle, phi1, zero, zero)
+        for got, want in ((sol.g1, g1), (sol.g2, g2), (sol.phi2, ref.phi),
+                          (sol.dzphi2, ref.dzphi)):
+            assert rel_diff(got, want) <= 1e-15
+
+    @pytest.mark.parametrize("name", STATES)
+    def test_converged_solve_moves_only_round_off(self, name, workload_problem,
+                                                  monkeypatch):
+        bundle, phi1 = self.state(name, workload_problem)
+        sol = el.solve_phi2(bundle, phi1)
+        # one block of all modes: the full-band sweep of reference_sweep
+        monkeypatch.setattr(el, "_depth_blocks",
+                            lambda grid: ((0, grid.n_depth, grid.n_modes // 2),))
+        ref = el.solve_phi2(bundle, phi1)
+        assert sol.picard_iters == ref.picard_iters
+        assert sol.mixed_from == ref.mixed_from
+        assert rel_diff(sol.phi2, ref.phi2) <= 1e-14
+        assert rel_diff(sol.dzphi2, ref.dzphi2) <= 1e-14
 
 
 class TestTraces:

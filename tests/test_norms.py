@@ -10,7 +10,8 @@ from dampedwaves import spectral as sp
 from dampedwaves.geometry import StripField, StripGrid
 from dampedwaves.harness import (composition_trials, interpolation_trials,
                                  power_rule_trials, product_rule_trials,
-                                 random_boundary_field, trace_trials)
+                                 random_boundary_field, random_strip_field,
+                                 trace_trials)
 
 
 def exp_strip(grid, amplitude=1.0, mode=1):
@@ -86,6 +87,20 @@ class TestStripNorm:
         grid = StripGrid(16, depth=8.0, n_depth=257)
         _, tail = nm.strip_norm_report(exp_strip(grid), nm.NormSpec(0.0, 0.0, 0))
         assert tail == pytest.approx(np.exp(-8.0), rel=1e-2)
+
+    @pytest.mark.parametrize("s, lam_", [(0.0, 0.0), (2.5, 0.0), (1.0, 0.3)])
+    def test_cached_weights_give_the_same_bits(self, s, lam_):
+        grid = StripGrid(32, depth=8.0, n_depth=65)
+        u = random_strip_field(np.random.default_rng(11), grid, 15)
+        n = grid.modes.astype(float)
+        w = nm.mode_multiplicity(32) * ((1.0 + n) ** s * np.exp(lam_ * n))
+        a = np.abs(u.coeffs)
+        tail = float(np.sum(w * (a[:, 0] / np.maximum(n, 1.0))))
+        want = float(np.sum(w * np.trapezoid(a, dx=grid.dz, axis=1))) + tail
+        for _ in range(2):      # filling the cache, then reading it
+            assert nm.strip_norm_report(u, nm.NormSpec(s, lam_, 0)) == (want, tail)
+        cached = nm._strip_weights(32, s, lam_)
+        assert cached is nm._strip_weights(32, s, lam_) and not cached.flags.writeable
 
     def test_k_needs_enough_nodes(self):
         grid = StripGrid(16, depth=8.0, n_depth=8)
