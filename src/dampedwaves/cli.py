@@ -117,8 +117,10 @@ def cmd_run(args) -> int:
         {"name": "smallness_cap", "passed": not any(flags),
          "value": int(sum(flags)), "mandatory": False},
     ]
+    budget = (dg.check_xi_energy_budget(traj).margin
+              if len(traj.states) >= 3 else None)
     summary = {"max_picard_iters": traj.max_picard_iters,
-               "mixed_solves": traj.mixed_solves}
+               "mixed_solves": traj.mixed_solves, "xi_budget_margin": budget}
     code = _write_verdict(out / "verdict.json", checks, summary)
     print(f"wrote {out}/series.csv ({len(records)} records); "
           f"verdict: {'PASS' if code == 0 else 'FAIL'}")

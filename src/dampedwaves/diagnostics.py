@@ -19,14 +19,14 @@ import numpy as np
 
 from .elliptic import gradient_norm, solve_phi1, solve_phi2
 from .errors import ConfigurationError
-from .evolution import (ModelParams, SimState, StepOptions, Trajectory,
-                        evaluate_rhs, linear_rhs_arrays)
+from .evolution import ModelParams, SimState, StepOptions, Trajectory
 from .geometry import StripGrid, build_geometry, zero_strip
-from .norms import InequalityReport, NormSpec, sobolev_norm
-from .spectral import (SpectrumField, dx, lam, mode_numbers, mollify,
-                       pad_size, project_stack, values_stack)
+from .norms import InequalityReport, sobolev_norm
+from .spectral import SpectrumField, lam, mollify
 
 DEFAULT_NOISE_FLOOR = 1e-13
+RADIUS_MIN_POINTS = 4        # fewer fitted entries leave the radius undefined
+RADIUS_TAPER_DECADES = 2.0   # fit weights fade out over this range above the floor
 _EXP_CAP = 700.0  # overflow guard for e^{μt|n|}
 
 
@@ -58,17 +58,15 @@ UNDEFINED_RADIUS = RadiusFit(rho=float("nan"), r_squared=float("nan"), n_points=
 
 
 def analyticity_radius(f: SpectrumField,
-                       noise_floor: float | None = None,
-                       min_points: int = 4,
-                       taper_decades: float = 2.0) -> RadiusFit:
+                       noise_floor: float | None = None) -> RadiusFit:
     """Fitted decay slope: ρ = −slope of log|f̂(n)| against |n|.
 
     Fits over the signed coefficient entries with |n| >= 1 and |f̂(n)| above
     the noise floor (default 1e−13·max|f̂|); returns the undefined sentinel
-    when fewer than min_points entries qualify.
+    when fewer than RADIUS_MIN_POINTS entries qualify.
 
-    Entries within taper_decades of the floor enter with a weight that fades
-    linearly (in log distance) to zero, so the fitted ρ(t) along a decaying
+    Entries within RADIUS_TAPER_DECADES of the floor enter with a weight that
+    fades linearly (in log distance) to zero, so the fitted ρ(t) along a decaying
     trajectory is continuous when a mode sinks through the floor instead of
     jumping with the discrete fit set.  Exact log-linear data is recovered
     exactly regardless of the weights.
@@ -81,14 +79,11 @@ def analyticity_radius(f: SpectrumField,
     absn = np.abs(f.modes).astype(float)
     keep = (a > floor) & (absn >= 1)
     n_pts = int(np.count_nonzero(keep))
-    if n_pts < min_points:
+    if n_pts < RADIUS_MIN_POINTS:
         return UNDEFINED_RADIUS
     x = absn[keep]
     y = np.log(a[keep])
-    if taper_decades > 0:
-        wgt = np.clip(np.log10(a[keep] / floor) / taper_decades, 0.0, 1.0)
-    else:
-        wgt = np.ones_like(x)
+    wgt = np.clip(np.log10(a[keep] / floor) / RADIUS_TAPER_DECADES, 0.0, 1.0)
     if np.count_nonzero(wgt > 0) < 2 or np.ptp(x[wgt > 0]) == 0:   # < 2 distinct |n|
         return UNDEFINED_RADIUS
     slope, intercept = np.polyfit(x, y, 1, w=np.sqrt(wgt))
@@ -244,36 +239,37 @@ def compute_records(traj: Trajectory,
 # structural checks along runs
 
 def check_xi_energy_budget(traj: Trajectory, floor_rel: float = DEFAULT_NOISE_FLOOR,
-                           rel_slack: float = 5e-2,
-                           opts: StepOptions | None = None) -> InequalityReport:
+                           rel_slack: float = 5e-2) -> InequalityReport:
     """Discrete check of the ξ energy-estimate structure.
 
     For consecutive records, the centered difference of |ξ|_{1,μt} must not
     exceed −(α−μ)|Λ²ξ|_{1,μt} + |h|_{1,μt} + |NL|_{1,μt}, where NL is the
-    measured nonlinear remainder ξ_t − (−h + αξ,₁₁).  The comparison carries
-    a relative slack for the finite-difference-in-time error.
+    nonlinear remainder ξ_t − (−h + αξ,₁₁) the stepper applied at the record
+    (traj.xi_remainder, zero in a linear_only run), so nothing is solved
+    here.  The comparison carries a relative slack for the
+    finite-difference-in-time error.  Raises ConfigurationError for fewer
+    than three records or an interior record without a remainder, as in a
+    hand-built trajectory.
     """
-    if opts is None:
-        opts = traj.step_options
     params = traj.params
     states = traj.states
     if len(states) < 3:
         raise ConfigurationError("budget check needs at least three records")
-    modes = mode_numbers(states[0].n_modes)
+    remainders = traj.xi_remainder
     worst = None
     holds = True
     for i in range(1, len(states) - 1):
+        if i >= len(remainders) or remainders[i] is None:
+            raise ConfigurationError(
+                f"record {i} has no xi remainder from the stepper")
         sm, s0, sp = states[i - 1], states[i], states[i + 1]
         lam_t = params.mu * s0.t
         dxi = (floored_wiener(sp.xi, 1.0, params.mu * sp.t, floor_rel) -
                floored_wiener(sm.xi, 1.0, params.mu * sm.t, floor_rel)) / (sp.t - sm.t)
-        r = evaluate_rhs(s0, params, traj.grid, opts)
-        u = np.stack([s0.xi.coeffs, s0.h.coeffs])
-        nl = r.xi_t.coeffs - linear_rhs_arrays(u, modes, params.alpha, params.kappa)[0]
         rhs = (-(params.alpha - params.mu) *
                floored_wiener(lam(s0.xi, 2.0), 1.0, lam_t, floor_rel)
                + floored_wiener(s0.h, 1.0, lam_t, floor_rel)
-               + floored_wiener(SpectrumField(nl), 1.0, lam_t, floor_rel))
+               + floored_wiener(SpectrumField(remainders[i]), 1.0, lam_t, floor_rel))
         slack = rel_slack * max(abs(dxi), abs(rhs), 1e-14)
         if worst is None or dxi - rhs > worst[0] - worst[1]:
             worst = (dxi, rhs + slack)
@@ -281,26 +277,6 @@ def check_xi_energy_budget(traj: Trajectory, floor_rel: float = DEFAULT_NOISE_FL
             holds = False
     return InequalityReport(lhs=worst[0], rhs=worst[1], constant_used=rel_slack,
                             holds=holds, margin=worst[1] - worst[0])
-
-
-def check_A_deviation(b: SpectrumField, s: float, lam_: float,
-                      cap: float = 4.0) -> tuple[InequalityReport, float]:
-    """|A(t)−Id|_{s,λ} <= C(s)|Λb|_{s,λ} at the boundary, with empirical C.
-
-    The nonzero entries of A−Id at x₂ = 0 are −b,₁/(1+Λb) and −Λb/(1+Λb);
-    the matrix norm is the sum of entry norms.  Returns the report against
-    the configured cap and the measured constant.
-    """
-    from .norms import wiener_norm
-    d1, d2 = values_stack([dx(b), lam(b)], pad_size(b.n_modes, 4))
-    a21, a22 = project_stack([-d1 / (1.0 + d2), -d2 / (1.0 + d2)], b)
-    spec = NormSpec(s, lam_)
-    lhs = wiener_norm(a21, spec) + wiener_norm(a22, spec)
-    denom = wiener_norm(lam(b), spec)
-    c_emp = lhs / denom if denom > 0 else 0.0
-    rhs = cap * denom
-    return InequalityReport(lhs=lhs, rhs=rhs, constant_used=cap,
-                            holds=lhs <= rhs * (1 + 1e-9), margin=rhs - lhs), c_emp
 
 
 def smallness_flags(records: list[DiagRecord], cap: float) -> list[bool]:

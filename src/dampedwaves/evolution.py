@@ -154,21 +154,6 @@ def propagator_entries(modes: np.ndarray, alpha: float, dt: float,
     return decay * cosd, -decay * c * sincd, decay * b * sincd, decay * cosd
 
 
-def linear_propagator(n: int, alpha: float, dt: float) -> np.ndarray:
-    """Closed-form exp(dt·M(n)) acting on (ξ̂, ĥ) for a single mode."""
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
-    m = np.array([n])
-    p11, p12, p21, p22 = propagator_entries(m, alpha, dt)
-    return np.array([[p11[0], p12[0]], [p21[0], p22[0]]])
-
-
-def linear_rhs_arrays(u: np.ndarray, modes: np.ndarray, alpha: float,
-                      kappa: float = 0.0) -> np.ndarray:
-    """M·u for the stacked state u = (ξ̂, ĥ)."""
-    return _apply_linear(_linear_factors(modes, alpha, kappa), u)
-
-
 def _apply_linear(factors, u: np.ndarray) -> np.ndarray:
     a, b, c = factors
     return np.array([-a * u[0] - c * u[1], b * u[0] - a * u[1]])
@@ -194,6 +179,7 @@ class StepInfo:
     mean_drift: float
     picard_iters: int
     bulk_gradient: float | None = None   # gradient_norm at the input state
+    xi_remainder: np.ndarray | None = None   # ξ row of N(u⁰) at the input state
     mixed_solves: int = 0                # solves that switched to Anderson mixing
     phi2: tuple[StripField, StripField] | None = None   # first-stage (φ₂, ∂₂φ₂)
 
@@ -226,7 +212,9 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
     Exact (to round-off) for the pure linear system; the interface mean is
     re-projected to zero afterwards, recording the drift removed.  With
     record set, the info carries gradient_norm of the elliptic solution the
-    step made at the input state (None when linear_only solves none).
+    step made at the input state (None when linear_only solves none) and
+    the ξ row of the nonlinear remainder N(u⁰) = ∂ₜu⁰ − M·u⁰ the step
+    applied (zero when linear_only).
 
     The first-stage φ₂ solve at u⁰ starts from zero, so it is the solve
     any other caller makes at that state; info.phi2 is its (φ₂, ∂₂φ₂).  The
@@ -243,10 +231,13 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
     iters = 0
     mixed = 0
     bulk = None
+    remainder = None
     phi2 = None
 
     if opts.linear_only:
         u1 = _apply(p, u0)
+        if record:
+            remainder = np.zeros_like(u0[0])
     else:
         r0 = evaluate_rhs(state, params, grid, opts)
         iters = max(iters, r0.solution.picard_iters)
@@ -256,6 +247,8 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
                                  r0.solution.dzphi2)
         phi2 = (r0.solution.phi2, r0.solution.dzphi2)
         k1 = np.array([r0.xi_t.coeffs, r0.h_t.coeffs]) - _apply_linear(factors, u0)
+        if record:
+            remainder = k1[0].copy()
         del r0                                # freed before the second solve
         u_pred = _finite(_apply(p, u0 + dt * k1), "predictor state")
         pred = _unpack(u_pred, state.t + dt)
@@ -276,6 +269,7 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
     return _unpack(u1, state.t + dt), StepInfo(mean_drift=float(drift),
                                                picard_iters=iters,
                                                bulk_gradient=bulk,
+                                               xi_remainder=remainder,
                                                mixed_solves=mixed, phi2=phi2)
 
 
@@ -286,7 +280,9 @@ class Trajectory:
     opts are the step options the run used (None: StepOptions.for_dt(dt)).
     bulk holds, per recorded state, the elliptic gradient_norm the stepper
     took from its own solve at that state, or None where no step solved it
-    (the final state, linear_only runs); empty for hand-built trajectories.
+    (the final state, linear_only runs); xi_remainder holds the step's
+    StepInfo.xi_remainder there, or None at the final state.  Both are empty
+    for hand-built trajectories.
     """
 
     states: tuple[SimState, ...]
@@ -298,6 +294,7 @@ class Trajectory:
     max_picard_iters: int
     opts: StepOptions | None = None
     bulk: tuple[float | None, ...] = ()
+    xi_remainder: tuple[np.ndarray | None, ...] = ()
     mixed_solves: int = 0      # the stepper's solves that switched to mixing
 
     @property
@@ -322,6 +319,7 @@ def run(h0: SpectrumField, xi0: SpectrumField, params: ModelParams,
     state = SimState(h=h0, xi=xi0, t=0.0)
     records = [state]
     bulk: list[float | None] = [None]
+    remainders: list[np.ndarray | None] = [None]
     n_steps = int(round(t_final / dt)) if t_final > 0 else 0
     max_drift = 0.0
     max_iters = 0
@@ -338,13 +336,16 @@ def run(h0: SpectrumField, xi0: SpectrumField, params: ModelParams,
         phi2 = info.phi2
         if info.bulk_gradient is not None:
             bulk[-1] = info.bulk_gradient
+        if info.xi_remainder is not None:
+            remainders[-1] = info.xi_remainder
         max_drift = max(max_drift, info.mean_drift)
         max_iters = max(max_iters, info.picard_iters)
         mixed += info.mixed_solves
         if (i + 1) % record_every == 0 or i == n_steps - 1:
             records.append(state)
             bulk.append(None)
+            remainders.append(None)
     return Trajectory(states=tuple(records), params=params, grid=grid, dt=dt,
                       record_every=record_every, max_mean_drift=max_drift,
                       max_picard_iters=max_iters, opts=opts, bulk=tuple(bulk),
-                      mixed_solves=mixed)
+                      xi_remainder=tuple(remainders), mixed_solves=mixed)

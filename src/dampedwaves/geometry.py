@@ -248,12 +248,6 @@ class GeometryBundle:
         j = 1.0 + d2
         return project_stack([-d1 / j, 1.0 / j], self.dpsi1)
 
-    @property
-    def j_field(self) -> StripField:
-        c = self.dpsi2.coeffs.copy()
-        c[0, :] += 1.0
-        return StripField(self.grid, c)
-
 
 def build_geometry(h: SpectrumField, grid: StripGrid,
                    margin_min: float = 0.1) -> GeometryBundle:

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, NumericsError
-from .geometry import StripField, StripGrid, harmonic_extension, mode_multiplicity
+from .geometry import StripField, mode_multiplicity
 from .spectral import (SpectrumField, lam, mode_numbers, pointwise_apply,
                        pointwise_power, pointwise_product, reciprocal_guard)
 
@@ -245,40 +245,4 @@ def check_trace_inequality(u: StripField, s: float, lam_: float,
     """|u|_{x₂=0}|_{s,λ} <= ‖u‖_{s,k=1,λ} (continuity of the trace)."""
     lhs = wiener_norm(u.trace(), NormSpec(s, lam_))
     rhs = strip_norm(u, NormSpec(s, lam_, k=1))
-    return InequalityReport.compare(lhs, rhs, 1.0, slack)
-
-
-def check_semigroup_multiplier(v: SpectrumField, s: float, lam_: float, j: int = 1,
-                               slack: float = DEFAULT_SLACK) -> InequalityReport:
-    """‖e^{x₂Λ}v‖_{s,j,λ} <= |Λ^{j−1}v|_{s,λ}: the multiplier lemma at f = exp.
-
-    The vertical integral ∫|∂₂^j e^{|n|x₂} v̂| dx₂ = |n|^{j−1}|v̂|(1 − e^{−|n|L_d})
-    plus its exact tail is summed in closed form per mode (quadrature would
-    blur the sharp constant C_f = 1; the bound is an equality for this f).
-    """
-    if j < 1:
-        raise ConfigurationError("vertical derivative count j must be >= 1")
-    absn = np.abs(v.modes).astype(float)
-    per_mode = absn ** (j - 1) * np.abs(v.coeffs)   # includes the exact tail
-    lhs = float(np.sum(_weights(v.modes, s, lam_) * per_mode))
-    rhs = wiener_norm(lam(v, float(j - 1)), NormSpec(s, lam_))
-    return InequalityReport.compare(lhs, rhs, 1.0, slack)
-
-
-def check_extension_chain(xi: SpectrumField, grid: StripGrid, r: float, s: float,
-                          lam_: float, j: int, i: int,
-                          slack: float = QUADRATURE_SLACK) -> InequalityReport:
-    """|Λʳ∂₂^j∂_i φ₁|_{s,λ} <= |Λ^{r+j+1}ξ|_{s,λ} for φ₁ = e^{x₂Λ}ξ.
-
-    The lhs trace is computed from the closed-form extension; i = 1 is the
-    tangential, i = 2 the vertical first derivative.
-    """
-    if i not in (1, 2):
-        raise ConfigurationError("derivative direction i must be 1 or 2")
-    phi1 = harmonic_extension(xi, grid)
-    n = xi.modes.astype(float)
-    sym = (1j * n) if i == 1 else np.abs(n)
-    trace = SpectrumField(sym * np.abs(n) ** j * (np.abs(n) ** r) * phi1.trace().coeffs)
-    lhs = wiener_norm(trace, NormSpec(s, lam_))
-    rhs = wiener_norm(lam(xi, r + j + 1), NormSpec(s, lam_))
     return InequalityReport.compare(lhs, rhs, 1.0, slack)

@@ -86,8 +86,8 @@ class SpectrumField(RealField):
     """Real periodic function of x₁ stored as Fourier coefficients.
 
     coeffs[k] is v̂(n_k) with n_k = mode_numbers(n_modes)[k]; Hermitian
-    symmetry coeff(−n) = conj(coeff(n)) is maintained by construction for
-    every operation on real input.
+    symmetry v̂(−n) = conj v̂(n) is maintained by construction for every
+    operation on real input.
     """
 
     coeffs: np.ndarray
@@ -108,15 +108,6 @@ class SpectrumField(RealField):
     @property
     def modes(self) -> np.ndarray:
         return mode_numbers(self.n_modes)
-
-    def coeff(self, n: int) -> complex:
-        return complex(self.coeffs[n % self.n_modes])
-
-    def hermitian_defect(self) -> float:
-        """Max |coeff(−n) − conj(coeff(n))| over represented modes."""
-        c = self.coeffs
-        cr = np.roll(c[::-1], 1)  # entry at −n
-        return float(np.max(np.abs(cr - np.conj(c))))
 
 
 def _adopt(cls: type, coeffs: np.ndarray, **attrs) -> RealField:
@@ -151,11 +142,6 @@ def cosine(n: int, amplitude: float, n_modes: int, phase: float = 0.0) -> Spectr
 
 def sine(n: int, amplitude: float, n_modes: int) -> SpectrumField:
     return cosine(n, amplitude, n_modes, phase=-np.pi / 2.0)
-
-
-def grid_points(n_modes: int) -> np.ndarray:
-    """Uniform collocation grid on [0, 2π)."""
-    return 2.0 * np.pi * np.arange(n_modes) / n_modes
 
 
 def hermitian_fill(half: np.ndarray, n_modes: int) -> np.ndarray:
@@ -236,15 +222,6 @@ def _symbol_values(symbol: Callable[[np.ndarray], np.ndarray],
         bad = modes[~np.isfinite(m)]
         raise NumericsError(f"multiplier not finite at mode(s) {bad[:5].tolist()}")
     return m
-
-
-def apply_multiplier(f: SpectrumField, symbol: Callable[[np.ndarray], np.ndarray]) -> SpectrumField:
-    """coeff_out(n) = symbol(n)·coeff_in(n).
-
-    symbol receives the signed integer mode array; it must be finite on every
-    represented mode.
-    """
-    return SpectrumField(_symbol_values(symbol, f.modes) * f.coeffs)
 
 
 # symbols of the fixed multipliers below, as functions of (modes, parameter)

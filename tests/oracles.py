@@ -1,0 +1,145 @@
+"""Reference computations that only the tests use.
+
+Small helpers that read a spectrum by signed mode or measure its Hermitian
+defect; M·u written from the evolution docstring's M(n); the lemma checks
+whose sharp constants the package's runs never evaluate; and the ξ energy
+budget as computed before the stepper carried its remainder, by solving
+every interior record afresh.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from dampedwaves import evolution as ev
+from dampedwaves.diagnostics import DEFAULT_NOISE_FLOOR, floored_wiener
+from dampedwaves.errors import ConfigurationError
+from dampedwaves.geometry import StripGrid, harmonic_extension
+from dampedwaves.norms import (DEFAULT_SLACK, QUADRATURE_SLACK, InequalityReport,
+                               NormSpec, wiener_norm)
+from dampedwaves.spectral import (SpectrumField, dx, lam, mode_numbers, pad_size,
+                                  project_stack, values_stack)
+
+
+def coeff(f: SpectrumField, n: int) -> complex:
+    """f̂(n) for a signed mode n."""
+    return complex(f.coeffs[n % f.n_modes])
+
+
+def hermitian_defect(f: SpectrumField) -> float:
+    """Max |f̂(−n) − conj f̂(n)| over the represented modes."""
+    c = f.coeffs
+    cr = np.roll(c[::-1], 1)  # entry at −n
+    return float(np.max(np.abs(cr - np.conj(c))))
+
+
+def grid_points(n_modes: int) -> np.ndarray:
+    """Uniform collocation grid on [0, 2π)."""
+    return 2.0 * np.pi * np.arange(n_modes) / n_modes
+
+
+def linear_rhs(u: np.ndarray, modes: np.ndarray, alpha: float,
+               kappa: float = 0.0) -> np.ndarray:
+    """M·u for the stacked state u = (ξ̂, ĥ): M(n) = [[−αn², −1], [|n|, −αn²]],
+    κ-mollified as the evolution module applies it (h enters ξ_t through one
+    heat factor e^{−κn²}, every other entry through two)."""
+    n2 = modes.astype(float) ** 2
+    heat = np.exp(-kappa * n2)
+    a = alpha * n2 * heat ** 2
+    b = np.abs(modes).astype(float) * heat ** 2
+    return np.array([-a * u[0] - heat * u[1], b * u[0] - a * u[1]])
+
+
+def check_A_deviation(b: SpectrumField, s: float, lam_: float,
+                      cap: float = 4.0) -> tuple[InequalityReport, float]:
+    """|A(t)−Id|_{s,λ} <= C(s)|Λb|_{s,λ} at the boundary, with empirical C.
+
+    The nonzero entries of A−Id at x₂ = 0 are −b,₁/(1+Λb) and −Λb/(1+Λb);
+    the matrix norm is the sum of entry norms.  Returns the report against
+    the configured cap and the measured constant.
+    """
+    d1, d2 = values_stack([dx(b), lam(b)], pad_size(b.n_modes, 4))
+    a21, a22 = project_stack([-d1 / (1.0 + d2), -d2 / (1.0 + d2)], b)
+    spec = NormSpec(s, lam_)
+    lhs = wiener_norm(a21, spec) + wiener_norm(a22, spec)
+    denom = wiener_norm(lam(b), spec)
+    c_emp = lhs / denom if denom > 0 else 0.0
+    rhs = cap * denom
+    return InequalityReport(lhs=lhs, rhs=rhs, constant_used=cap,
+                            holds=lhs <= rhs * (1 + 1e-9), margin=rhs - lhs), c_emp
+
+
+def check_semigroup_multiplier(v: SpectrumField, s: float, lam_: float, j: int = 1,
+                               slack: float = DEFAULT_SLACK) -> InequalityReport:
+    """‖e^{x₂Λ}v‖_{s,j,λ} <= |Λ^{j−1}v|_{s,λ}: the multiplier lemma at f = exp.
+
+    The vertical integral ∫|∂₂^j e^{|n|x₂} v̂| dx₂ = |n|^{j−1}|v̂|(1 − e^{−|n|L_d})
+    plus its exact tail is summed in closed form per mode (quadrature would
+    blur the sharp constant C_f = 1; the bound is an equality for this f).
+    """
+    if j < 1:
+        raise ConfigurationError("vertical derivative count j must be >= 1")
+    absn = np.abs(v.modes).astype(float)
+    per_mode = absn ** (j - 1) * np.abs(v.coeffs)   # includes the exact tail
+    lhs = float(np.sum((1.0 + absn) ** s * np.exp(lam_ * absn) * per_mode))
+    rhs = wiener_norm(lam(v, float(j - 1)), NormSpec(s, lam_))
+    return InequalityReport.compare(lhs, rhs, 1.0, slack)
+
+
+def check_extension_chain(xi: SpectrumField, grid: StripGrid, r: float, s: float,
+                          lam_: float, j: int, i: int,
+                          slack: float = QUADRATURE_SLACK) -> InequalityReport:
+    """|Λʳ∂₂^j∂_i φ₁|_{s,λ} <= |Λ^{r+j+1}ξ|_{s,λ} for φ₁ = e^{x₂Λ}ξ.
+
+    The lhs trace is computed from the closed-form extension; i = 1 is the
+    tangential, i = 2 the vertical first derivative.
+    """
+    if i not in (1, 2):
+        raise ConfigurationError("derivative direction i must be 1 or 2")
+    phi1 = harmonic_extension(xi, grid)
+    n = xi.modes.astype(float)
+    sym = (1j * n) if i == 1 else np.abs(n)
+    trace = SpectrumField(sym * np.abs(n) ** j * (np.abs(n) ** r) * phi1.trace().coeffs)
+    lhs = wiener_norm(trace, NormSpec(s, lam_))
+    rhs = wiener_norm(lam(xi, r + j + 1), NormSpec(s, lam_))
+    return InequalityReport.compare(lhs, rhs, 1.0, slack)
+
+
+def resolved_xi_energy_budget(traj: ev.Trajectory,
+                              floor_rel: float = DEFAULT_NOISE_FLOOR,
+                              rel_slack: float = 5e-2,
+                              opts: ev.StepOptions | None = None) -> InequalityReport:
+    """diagnostics.check_xi_energy_budget with each interior record's
+    remainder ξ_t − (M·u)_ξ re-solved by evaluate_rhs under opts (default:
+    the run's), or zero under linear_only, where the run applies none."""
+    if opts is None:
+        opts = traj.step_options
+    params = traj.params
+    states = traj.states
+    if len(states) < 3:
+        raise ConfigurationError("budget check needs at least three records")
+    modes = mode_numbers(states[0].n_modes)
+    worst = None
+    holds = True
+    for i in range(1, len(states) - 1):
+        sm, s0, sp = states[i - 1], states[i], states[i + 1]
+        lam_t = params.mu * s0.t
+        dxi = (floored_wiener(sp.xi, 1.0, params.mu * sp.t, floor_rel) -
+               floored_wiener(sm.xi, 1.0, params.mu * sm.t, floor_rel)) / (sp.t - sm.t)
+        if opts.linear_only:
+            nl = np.zeros_like(s0.xi.coeffs)
+        else:
+            r = ev.evaluate_rhs(s0, params, traj.grid, opts)
+            u = np.stack([s0.xi.coeffs, s0.h.coeffs])
+            nl = r.xi_t.coeffs - linear_rhs(u, modes, params.alpha, params.kappa)[0]
+        rhs = (-(params.alpha - params.mu) *
+               floored_wiener(lam(s0.xi, 2.0), 1.0, lam_t, floor_rel)
+               + floored_wiener(s0.h, 1.0, lam_t, floor_rel)
+               + floored_wiener(SpectrumField(nl), 1.0, lam_t, floor_rel))
+        slack = rel_slack * max(abs(dxi), abs(rhs), 1e-14)
+        if worst is None or dxi - rhs > worst[0] - worst[1]:
+            worst = (dxi, rhs + slack)
+        if dxi > rhs + slack:
+            holds = False
+    return InequalityReport(lhs=worst[0], rhs=worst[1], constant_used=rel_slack,
+                            holds=holds, margin=worst[1] - worst[0])

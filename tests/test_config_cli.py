@@ -12,10 +12,12 @@ import pytest
 
 from dampedwaves import cli
 from dampedwaves import config as cf
+from dampedwaves import diagnostics as dg
 from dampedwaves import elliptic as el
 from dampedwaves import evolution as ev
 from dampedwaves.errors import ConfigurationError
 from dampedwaves.norms import NormSpec, wiener_norm
+from oracles import coeff, resolved_xi_energy_budget
 
 MINIMAL = """
 [model]
@@ -93,8 +95,8 @@ class TestParsing:
                                "preset = explicit\nh_modes = 1:0.004, 2:0.002:1.5707963\nxi_modes = 1:0.003")
         cfg = cf.parse_config(text)
         h0, xi0 = cf.initial_data(cfg)
-        assert abs(h0.coeff(1)) == pytest.approx(0.002, rel=1e-12)
-        assert abs(xi0.coeff(1)) == pytest.approx(0.0015, rel=1e-12)
+        assert abs(coeff(h0, 1)) == pytest.approx(0.002, rel=1e-12)
+        assert abs(coeff(xi0, 1)) == pytest.approx(0.0015, rel=1e-12)
 
     def test_mode_zero_forbidden_for_h(self):
         text = MINIMAL.replace("preset = small_two_mode",
@@ -166,10 +168,27 @@ class TestCli:
                                                           "smallness_cap"]
         assert verdict["summary"]["mixed_solves"] == 0
         assert verdict["summary"]["max_picard_iters"] >= 1
+        # the budget margin, equal to the one solved afresh at every record
+        cfg = cf.parse_config(tiny_config.read_text())
+        traj = ev.run(*cf.initial_data(cfg), cfg.params, cfg.grid, cfg.dt, cfg.t_final,
+                      record_every=cfg.record_every, opts=cfg.step_options)
+        assert verdict["summary"]["xi_budget_margin"] == \
+            resolved_xi_energy_budget(traj).margin
         snaps = (out / "snapshots.jsonl").read_text().splitlines()
         assert len(snaps) >= 2
         first = json.loads(snaps[0])
         assert len(first["h_re"]) == 16
+
+    @pytest.mark.parametrize("t_final", ["0.0", "0.002"])
+    def test_budget_margin_null_below_three_records(self, tiny_config, tmp_path,
+                                                    monkeypatch, t_final):
+        monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
+        tiny_config.write_text(tiny_config.read_text().replace(
+            "t_final = 0.03", f"t_final = {t_final}"))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(tiny_config), "--output-dir", str(out)) == 0
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["summary"]["xi_budget_margin"] is None
 
     def test_small_amplitude_run_never_mixes(self, tiny_config, tmp_path, monkeypatch):
         # the same bytes as a run whose φ₂ solves can never switch to mixing
@@ -467,5 +486,6 @@ def test_verdict_summary_counts_mixed_solves(tmp_path, monkeypatch):
     traj = ev.run(*cf.initial_data(cfg), cfg.params, cfg.grid, cfg.dt, cfg.t_final,
                   record_every=cfg.record_every, opts=cfg.step_options)
     assert verdict["summary"] == {"max_picard_iters": traj.max_picard_iters,
-                                  "mixed_solves": traj.mixed_solves}
+                                  "mixed_solves": traj.mixed_solves,
+                                  "xi_budget_margin": dg.check_xi_energy_budget(traj).margin}
     assert traj.mixed_solves == 2 * wl.steps       # every stepper solve switched

@@ -9,6 +9,19 @@ from dampedwaves import evolution as ev
 from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
 from dampedwaves.errors import ConfigurationError, DiffeomorphismError
+from oracles import (check_A_deviation, coeff, hermitian_defect,
+                     resolved_xi_energy_budget)
+
+
+def decay_fixture_run(record_every: int, opts: ev.StepOptions | None = None):
+    """The decay run's data (small_two_mode, |h₀|₁ + |ξ₀|₁ = 0.01) on 32 × 129."""
+    grid = geo.StripGrid(32, depth=8.0, n_depth=129)
+    params = ev.ModelParams(alpha=3.0, epsilon=1.0, mu=1.0)
+    a = 0.01 / 7.0
+    h0 = sp.cosine(1, a, 32) + sp.cosine(2, 0.5 * a, 32)
+    xi0 = sp.sine(1, a, 32) + sp.sine(2, 0.5 * a, 32)
+    return ev.run(h0, xi0, params, grid, 2e-3, 0.4, record_every=record_every,
+                  opts=opts)
 
 
 def synthetic_exponential_spectrum(rho, n_modes=64, max_mode=20):
@@ -44,8 +57,8 @@ class TestRadius:
         h = sp.cosine(1, 1e-3, 32) + sp.cosine(2, 1e-4, 32)
         xi = sp.sine(1, 2e-3, 32) + sp.sine(2, 1e-4, 32)
         env = dg.envelope_spectrum(h, xi)
-        assert env.hermitian_defect() == 0.0
-        e1 = abs(env.coeff(1))
+        assert hermitian_defect(env) == 0.0
+        e1 = abs(coeff(env, 1))
         assert e1 == pytest.approx(np.sqrt(1.0 * (1e-3) ** 2 + (0.5e-3) ** 2),
                                    rel=1e-12)
 
@@ -121,12 +134,7 @@ class TestEnergyAndRecords:
     @pytest.fixture(scope="class")
     def traj(self, request):
         del request
-        grid = geo.StripGrid(32, depth=8.0, n_depth=129)
-        params = ev.ModelParams(alpha=3.0, epsilon=1.0, mu=1.0)
-        a = 0.01 / 7.0
-        h0 = sp.cosine(1, a, 32) + sp.cosine(2, 0.5 * a, 32)
-        xi0 = sp.sine(1, a, 32) + sp.sine(2, 0.5 * a, 32)
-        return ev.run(h0, xi0, params, grid, 2e-3, 0.4, record_every=20)
+        return decay_fixture_run(20)
 
     def test_records_schema(self, traj):
         recs = dg.compute_records(traj)
@@ -165,6 +173,36 @@ class TestEnergyAndRecords:
         assert recs[0].sobolev_h3 == recs[1].sobolev_h3
 
 
+class TestXiBudget:
+    """The ξ energy budget reads the remainder the stepper applied."""
+
+    @pytest.mark.parametrize("record_every", [1, 7, 20])
+    def test_equals_resolving_reference(self, record_every):
+        traj = decay_fixture_run(record_every)
+        assert dg.check_xi_energy_budget(traj) == resolved_xi_energy_budget(traj)
+
+    def test_linear_only_remainder_is_zero(self):
+        traj = decay_fixture_run(20, ev.StepOptions(linear_only=True))
+        assert traj.xi_remainder[-1] is None
+        assert all(np.all(r == 0.0) for r in traj.xi_remainder[:-1])
+        rep = dg.check_xi_energy_budget(traj)
+        assert rep == resolved_xi_energy_budget(traj)
+        # the nonlinear remainder, which this run never applied, is not zero
+        assert rep != resolved_xi_energy_budget(traj, opts=ev.StepOptions())
+
+    def test_hand_built_trajectory_rejected(self):
+        grid = geo.StripGrid(16, depth=8.0, n_depth=65)
+        st = ev.SimState(h=sp.cosine(1, 0.01, 16), xi=sp.sine(1, 0.01, 16), t=0.0)
+        states = tuple(dataclasses.replace(st, t=t) for t in (0.0, 0.1, 0.2))
+        traj = ev.Trajectory(states=states, params=ev.ModelParams(alpha=3.0, mu=1.0),
+                             grid=grid, dt=0.1, record_every=1, max_mean_drift=0.0,
+                             max_picard_iters=1)
+        with pytest.raises(ConfigurationError, match="record 1 has no xi remainder"):
+            dg.check_xi_energy_budget(traj)
+        with pytest.raises(ConfigurationError, match="at least three records"):
+            dg.check_xi_energy_budget(dataclasses.replace(traj, states=states[:2]))
+
+
 class TestRecordSolves:
     """Records reuse the stepper's elliptic solves and honour its options."""
 
@@ -191,6 +229,15 @@ class TestRecordSolves:
         assert len(calls) == 2 * n_steps + 1
         assert traj.bulk[-1] is None
         assert all(isinstance(b, float) for b in traj.bulk[:-1])
+
+    @pytest.mark.parametrize("n_steps, record_every", [(4, 1), (5, 2)])
+    def test_budget_adds_no_solve(self, monkeypatch, n_steps, record_every):
+        calls = self.counted_solves(monkeypatch)
+        traj = ev.run(self.h0, self.xi0, self.params, self.grid, 1e-2,
+                      n_steps * 1e-2, record_every=record_every)
+        dg.compute_records(traj)
+        dg.check_xi_energy_budget(traj)
+        assert len(calls) == 2 * n_steps + 1
 
     def test_reused_energy_bit_identical_to_resolve(self):
         traj = ev.run(self.h0, self.xi0, self.params, self.grid, 1e-2, 0.04,
@@ -261,14 +308,14 @@ class TestSmallnessMonitor:
 class TestADeviation:
     def test_bound_and_constant(self):
         b = sp.cosine(1, 0.05, 64) + sp.cosine(2, 0.02, 64)
-        rep, c_emp = dg.check_A_deviation(b, 1.0, 0.0)
+        rep, c_emp = check_A_deviation(b, 1.0, 0.0)
         assert rep.holds
         assert 0.0 < c_emp <= 4.0
 
     def test_scaling_with_amplitude(self):
         cs = []
         for amp in (0.01, 0.05, 0.1):
-            _, c_emp = dg.check_A_deviation(sp.cosine(1, amp, 32), 1.0, 0.0)
+            _, c_emp = check_A_deviation(sp.cosine(1, amp, 32), 1.0, 0.0)
             cs.append(c_emp)
         # empirical constant stays O(1) as the amplitude shrinks
         assert abs(cs[0] - cs[1]) < 0.2 and cs[2] < 3.0

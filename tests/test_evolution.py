@@ -10,6 +10,7 @@ from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
 from dampedwaves.errors import ConfigurationError, NumericsError
 from dampedwaves.harness import linear_exponential
+from oracles import hermitian_defect, linear_rhs
 
 
 def small_grid(n_modes=32, n_depth=129):
@@ -25,19 +26,25 @@ def linear_reference(state0, alpha, t, modes):
     return out
 
 
+def propagator(n: int, alpha: float, dt: float) -> np.ndarray:
+    """propagator_entries at the single mode n as a 2 × 2 matrix."""
+    p11, p12, p21, p22 = ev.propagator_entries(np.array([n]), alpha, dt)
+    return np.array([[p11[0], p12[0]], [p21[0], p22[0]]])
+
+
 class TestPropagator:
     def test_rotation_full_period(self):
-        p = ev.linear_propagator(1, 0.0, 2.0 * np.pi)
+        p = propagator(1, 0.0, 2.0 * np.pi)
         assert np.max(np.abs(p - np.eye(2))) < 1e-12
 
     def test_mode_zero_shear(self):
-        p = ev.linear_propagator(0, 5.0, 0.25)
+        p = propagator(0, 5.0, 0.25)
         assert np.max(np.abs(p - np.array([[1.0, -0.25], [0.0, 1.0]]))) == 0.0
 
     def test_series_oracle(self):
         n, alpha, dt = 2, 3.0, 0.1
         m = np.array([[-alpha * n ** 2, -1.0], [abs(n), -alpha * n ** 2]])
-        p = ev.linear_propagator(n, alpha, dt)
+        p = propagator(n, alpha, dt)
         assert np.max(np.abs(p - expm(dt * m))) < 1e-12
         assert np.max(np.abs(np.linalg.eigvals(p))) == pytest.approx(
             np.exp(-alpha * n ** 2 * dt), rel=1e-12)
@@ -55,8 +62,10 @@ class TestPropagator:
             assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_rejects_bad_dt(self):
+        st = ev.SimState(h=sp.cosine(1, 0.1, 16), xi=sp.zero_field(16), t=0.0)
         with pytest.raises(ConfigurationError):
-            ev.linear_propagator(1, 1.0, 0.0)
+            ev.step(st, ev.ModelParams(alpha=1.0), small_grid(16, 64), 0.0,
+                    ev.StepOptions(linear_only=True))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7])
     @pytest.mark.parametrize("alpha", [0.0, 3.0])
@@ -86,8 +95,7 @@ class TestRhs:
         r = ev.evaluate_rhs(st, ev.ModelParams(alpha=alpha), grid,
                             ev.StepOptions(picard_tol=1e-16, picard_max_iter=30))
         modes = sp.mode_numbers(32)
-        lin = ev.linear_rhs_arrays(np.stack([st.xi.coeffs, st.h.coeffs]),
-                                   modes, alpha)
+        lin = linear_rhs(np.stack([st.xi.coeffs, st.h.coeffs]), modes, alpha)
         assert np.max(np.abs(r.h_t.coeffs - lin[1])) <= 10 * delta ** 2
         assert np.max(np.abs(r.xi_t.coeffs - lin[0])) <= 10 * delta ** 2
 
@@ -132,8 +140,7 @@ class TestRhs:
         xi = sp.sine(1, 0.5, 32)
         st = ev.SimState(h=h, xi=xi, t=0.0)
         r = ev.evaluate_rhs(st, ev.ModelParams(alpha=2.0, epsilon=0.0), grid)
-        lin = ev.linear_rhs_arrays(np.stack([xi.coeffs, h.coeffs]),
-                                   sp.mode_numbers(32), 2.0)
+        lin = linear_rhs(np.stack([xi.coeffs, h.coeffs]), sp.mode_numbers(32), 2.0)
         assert np.max(np.abs(r.xi_t.coeffs - lin[0])) < 1e-14
         assert np.max(np.abs(r.h_t.coeffs - lin[1])) < 1e-14
 
@@ -300,5 +307,5 @@ class TestHermitianStability:
                       record_every=200)
         assert traj.max_mean_drift <= 1e-10
         s = traj.states[-1]
-        assert s.h.hermitian_defect() <= 1e-13
-        assert s.xi.hermitian_defect() <= 1e-13
+        assert hermitian_defect(s.h) <= 1e-13
+        assert hermitian_defect(s.xi) <= 1e-13

@@ -72,7 +72,7 @@ class TestGeometryBundle:
         # h = 0.1 cos x₁ at (x₁, x₂) = (0, 0): J = 1.1, A²₂ = 1/1.1, A²₁ = 0
         grid = geo.StripGrid(64, depth=8.0, n_depth=129)
         b = geo.build_geometry(sp.cosine(1, 0.1, 64), grid)
-        jv = sp.values_on_grid(b.j_field)
+        jv = 1.0 + sp.values_on_grid(b.dpsi2)       # J = 1 + δψ,₂
         a22 = sp.values_on_grid(b.a22)
         a21 = sp.values_on_grid(b.a21)
         assert jv[0, -1] == pytest.approx(1.1, rel=1e-12)
