@@ -25,6 +25,7 @@ from .config import config_to_text, initial_data, parse_config
 from .errors import (ConfigurationError, ContractionError,
                      DiffeomorphismError, NumericsError)
 from .evolution import run as run_evolution
+from .spectral import hermitian_fill
 
 SERIES_SCHEMA = "dampedwaves-series-v1"
 TRIALS_SCHEMA = "dampedwaves-inequalities-v1"
@@ -102,12 +103,12 @@ def cmd_run(args) -> int:
         for i, state in enumerate(traj.states):
             if i not in snap_idx:
                 continue
+            # the full FFT layout, N coefficients per field
+            h, xi = hermitian_fill(state.h.coeffs), hermitian_fill(state.xi.coeffs)
             fh.write(json.dumps({
                 "t": state.t,
-                "h_re": state.h.coeffs.real.tolist(),
-                "h_im": state.h.coeffs.imag.tolist(),
-                "xi_re": state.xi.coeffs.real.tolist(),
-                "xi_im": state.xi.coeffs.imag.tolist(),
+                "h_re": h.real.tolist(), "h_im": h.imag.tolist(),
+                "xi_re": xi.real.tolist(), "xi_im": xi.imag.tolist(),
             }) + "\n")
 
     flags = dg.smallness_flags(records, ADMISSIBILITY_CAP)
@@ -117,10 +118,12 @@ def cmd_run(args) -> int:
         {"name": "smallness_cap", "passed": not any(flags),
          "value": int(sum(flags)), "mandatory": False},
     ]
-    budget = (dg.check_xi_energy_budget(traj).margin
-              if len(traj.states) >= 3 else None)
+    # how close the run came to breaking the ξ estimate: (rhs − lhs)/|rhs|
+    budget = dg.check_xi_energy_budget(traj) if len(traj.states) >= 3 else None
+    rel_margin = (budget.margin / abs(budget.rhs)
+                  if budget is not None and budget.rhs != 0.0 else None)
     summary = {"max_picard_iters": traj.max_picard_iters,
-               "mixed_solves": traj.mixed_solves, "xi_budget_margin": budget}
+               "mixed_solves": traj.mixed_solves, "xi_budget_rel_margin": rel_margin}
     code = _write_verdict(out / "verdict.json", checks, summary)
     print(f"wrote {out}/series.csv ({len(records)} records); "
           f"verdict: {'PASS' if code == 0 else 'FAIL'}")

@@ -22,10 +22,10 @@ from .errors import ConfigurationError
 from .evolution import ModelParams, SimState, StepOptions, Trajectory
 from .geometry import StripGrid, build_geometry, zero_strip
 from .norms import InequalityReport, sobolev_norm
-from .spectral import SpectrumField, lam, mollify
+from .spectral import SpectrumField, lam, mode_multiplicity, mollify
 
 DEFAULT_NOISE_FLOOR = 1e-13
-RADIUS_MIN_POINTS = 4        # fewer fitted entries leave the radius undefined
+RADIUS_MIN_POINTS = 2        # fewer fitted modes leave the radius undefined
 RADIUS_TAPER_DECADES = 2.0   # fit weights fade out over this range above the floor
 _EXP_CAP = 700.0  # overflow guard for e^{μt|n|}
 
@@ -37,10 +37,11 @@ def floored_wiener(f: SpectrumField, s: float, lam_t: float,
     scale = a.max(initial=0.0)
     if scale == 0.0:
         return 0.0
-    absn = np.abs(f.modes).astype(float)
     keep = a > floor_rel * scale
-    expo = np.minimum(lam_t * absn[keep], _EXP_CAP)
-    return float(np.sum((1.0 + absn[keep]) ** s * np.exp(expo) * a[keep]))
+    n = f.modes[keep].astype(float)
+    expo = np.minimum(lam_t * n, _EXP_CAP)
+    return float(np.sum(mode_multiplicity(f.n_modes)[keep] * (1.0 + n) ** s
+                        * np.exp(expo) * a[keep]))
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,11 @@ def analyticity_radius(f: SpectrumField,
                        noise_floor: float | None = None) -> RadiusFit:
     """Fitted decay slope: ρ = −slope of log|f̂(n)| against |n|.
 
-    Fits over the signed coefficient entries with |n| >= 1 and |f̂(n)| above
-    the noise floor (default 1e−13·max|f̂|); returns the undefined sentinel
-    when fewer than RADIUS_MIN_POINTS entries qualify.
+    Fits over the stored modes n >= 1 with |f̂(n)| above the noise floor
+    (default 1e−13·max|f̂|); returns the undefined sentinel when fewer than
+    RADIUS_MIN_POINTS modes qualify.
 
-    Entries within RADIUS_TAPER_DECADES of the floor enter with a weight that
+    Modes within RADIUS_TAPER_DECADES of the floor enter with a weight that
     fades linearly (in log distance) to zero, so the fitted ρ(t) along a decaying
     trajectory is continuous when a mode sinks through the floor instead of
     jumping with the discrete fit set.  Exact log-linear data is recovered
@@ -76,16 +77,14 @@ def analyticity_radius(f: SpectrumField,
     if scale == 0.0:
         return UNDEFINED_RADIUS
     floor = noise_floor if noise_floor is not None else DEFAULT_NOISE_FLOOR * scale
-    absn = np.abs(f.modes).astype(float)
-    keep = (a > floor) & (absn >= 1)
+    keep = a > floor
+    keep[0] = False
     n_pts = int(np.count_nonzero(keep))
     if n_pts < RADIUS_MIN_POINTS:
         return UNDEFINED_RADIUS
-    x = absn[keep]
+    x = f.modes[keep].astype(float)
     y = np.log(a[keep])
     wgt = np.clip(np.log10(a[keep] / floor) / RADIUS_TAPER_DECADES, 0.0, 1.0)
-    if np.count_nonzero(wgt > 0) < 2 or np.ptp(x[wgt > 0]) == 0:   # < 2 distinct |n|
-        return UNDEFINED_RADIUS
     slope, intercept = np.polyfit(x, y, 1, w=np.sqrt(wgt))
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum(wgt * (y - np.average(y, weights=wgt)) ** 2))
@@ -95,9 +94,8 @@ def analyticity_radius(f: SpectrumField,
 
 def envelope_spectrum(h: SpectrumField, xi: SpectrumField) -> SpectrumField:
     """Phase-free per-mode envelope √(|n||ξ̂|² + |ĥ|²) as a spectrum."""
-    absn = np.abs(h.modes).astype(float)
-    e = np.sqrt(absn * np.abs(xi.coeffs) ** 2 + np.abs(h.coeffs) ** 2)
-    return SpectrumField(e.astype(np.complex128))
+    e = np.sqrt(h.modes * np.abs(xi.coeffs) ** 2 + np.abs(h.coeffs) ** 2)
+    return h._like(e.astype(np.complex128))
 
 
 def decay_rate(times: np.ndarray, values: np.ndarray,
@@ -269,7 +267,7 @@ def check_xi_energy_budget(traj: Trajectory, floor_rel: float = DEFAULT_NOISE_FL
         rhs = (-(params.alpha - params.mu) *
                floored_wiener(lam(s0.xi, 2.0), 1.0, lam_t, floor_rel)
                + floored_wiener(s0.h, 1.0, lam_t, floor_rel)
-               + floored_wiener(SpectrumField(remainders[i]), 1.0, lam_t, floor_rel))
+               + floored_wiener(remainders[i], 1.0, lam_t, floor_rel))
         slack = rel_slack * max(abs(dxi), abs(rhs), 1e-14)
         if worst is None or dxi - rhs > worst[0] - worst[1]:
             worst = (dxi, rhs + slack)

@@ -46,11 +46,11 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractionError
 from .geometry import (GeometryBundle, StripField, StripGrid, extension_profile,
-                       fd_derivative, harmonic_extension, mode_multiplicity,
-                       zero_strip)
+                       fd_derivative, harmonic_extension, zero_strip)
 from .norms import NormSpec, strip_norm
-from .spectral import (SpectrumField, _fixed_symbol, dx, dxx, lam, pad_size,
-                       project, project_stack, values_stack)
+from .spectral import (SpectrumField, _fixed_symbol, dx, dxx, lam,
+                       mode_multiplicity, pad_size, project, project_stack,
+                       values_stack)
 
 
 def solve_phi1(xi: SpectrumField, grid: StripGrid) -> StripField:
@@ -308,7 +308,7 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     if bundle.diffeo_margin <= 0:
         raise ContractionError("geometry margin is not positive")
     k = grid.n_modes // 2
-    dx_symbol = _fixed_symbol("dx", grid.n_modes, 0.0, k, 2)
+    dx_symbol = _fixed_symbol("dx", grid.n_modes, 0.0, 2)
     dz1 = lam(phi1).coeffs
     weight = mode_multiplicity(grid.n_modes)[:, None]
     # the forcing g₁, g₂ that poisson_divform reads; a block's modes >= K stay 0

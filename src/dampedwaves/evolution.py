@@ -37,8 +37,8 @@ import numpy as np
 from .elliptic import EllipticSolution, gradient_norm, solve_phi1, solve_phi2
 from .errors import ConfigurationError, NumericsError
 from .geometry import StripField, StripGrid, build_geometry
-from .spectral import (SpectrumField, dx, dxx, lam, mode_numbers, mollify,
-                       pad_size, project_stack, values_stack)
+from .spectral import (SpectrumField, dx, dxx, lam, mollify, pad_size,
+                       project_stack, stored_modes, values_stack, zero_field)
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def _apply_linear(factors, u: np.ndarray) -> np.ndarray:
 def _step_tables(n_modes: int, alpha: float, dt: float, kappa: float):
     """The step's propagator entries and M's factors, built once per
     (N, α, dt, κ) (shared, read-only)."""
-    modes = mode_numbers(n_modes)
+    modes = stored_modes(n_modes)
     tables = (propagator_entries(modes, alpha, dt, kappa),
               _linear_factors(modes, alpha, kappa))
     for arr in (*tables[0], *tables[1]):
@@ -179,7 +179,7 @@ class StepInfo:
     mean_drift: float
     picard_iters: int
     bulk_gradient: float | None = None   # gradient_norm at the input state
-    xi_remainder: np.ndarray | None = None   # ξ row of N(u⁰) at the input state
+    xi_remainder: SpectrumField | None = None   # ξ row of N(u⁰) at the input state
     mixed_solves: int = 0                # solves that switched to Anderson mixing
     phi2: tuple[StripField, StripField] | None = None   # first-stage (φ₂, ∂₂φ₂)
 
@@ -188,8 +188,9 @@ def _pack(state: SimState) -> np.ndarray:
     return np.array([state.xi.coeffs, state.h.coeffs])
 
 
-def _unpack(u: np.ndarray, t: float) -> SimState:
-    return SimState(h=SpectrumField(u[1]), xi=SpectrumField(u[0]), t=t)
+def _unpack(u: np.ndarray, t: float, like: SpectrumField) -> SimState:
+    """The state held by u = (ξ̂, ĥ), a fresh array its fields adopt."""
+    return SimState(h=like._like(u[1]), xi=like._like(u[0]), t=t)
 
 
 def _apply(p, u: np.ndarray) -> np.ndarray:
@@ -237,7 +238,7 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
     if opts.linear_only:
         u1 = _apply(p, u0)
         if record:
-            remainder = np.zeros_like(u0[0])
+            remainder = zero_field(state.n_modes)
     else:
         r0 = evaluate_rhs(state, params, grid, opts)
         iters = max(iters, r0.solution.picard_iters)
@@ -248,10 +249,10 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
         phi2 = (r0.solution.phi2, r0.solution.dzphi2)
         k1 = np.array([r0.xi_t.coeffs, r0.h_t.coeffs]) - _apply_linear(factors, u0)
         if record:
-            remainder = k1[0].copy()
+            remainder = state.xi._like(k1[0].copy())
         del r0                                # freed before the second solve
         u_pred = _finite(_apply(p, u0 + dt * k1), "predictor state")
-        pred = _unpack(u_pred, state.t + dt)
+        pred = _unpack(u_pred, state.t + dt, state.h)
         start = phi2
         if phi2_prev is not None:             # in place: (c − p) + c
             for cur, prev in zip(phi2, phi2_prev):
@@ -266,11 +267,9 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
 
     drift = abs(_finite(u1, "new state")[1][0])
     u1[1][0] = 0.0
-    return _unpack(u1, state.t + dt), StepInfo(mean_drift=float(drift),
-                                               picard_iters=iters,
-                                               bulk_gradient=bulk,
-                                               xi_remainder=remainder,
-                                               mixed_solves=mixed, phi2=phi2)
+    info = StepInfo(mean_drift=float(drift), picard_iters=iters, bulk_gradient=bulk,
+                    xi_remainder=remainder, mixed_solves=mixed, phi2=phi2)
+    return _unpack(u1, state.t + dt, state.h), info
 
 
 @dataclass(frozen=True)
@@ -294,7 +293,7 @@ class Trajectory:
     max_picard_iters: int
     opts: StepOptions | None = None
     bulk: tuple[float | None, ...] = ()
-    xi_remainder: tuple[np.ndarray | None, ...] = ()
+    xi_remainder: tuple[SpectrumField | None, ...] = ()
     mixed_solves: int = 0      # the stepper's solves that switched to mixing
 
     @property
@@ -319,7 +318,7 @@ def run(h0: SpectrumField, xi0: SpectrumField, params: ModelParams,
     state = SimState(h=h0, xi=xi0, t=0.0)
     records = [state]
     bulk: list[float | None] = [None]
-    remainders: list[np.ndarray | None] = [None]
+    remainders: list[SpectrumField | None] = [None]
     n_steps = int(round(t_final / dt)) if t_final > 0 else 0
     max_drift = 0.0
     max_iters = 0

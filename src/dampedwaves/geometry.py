@@ -10,14 +10,13 @@ depth grid.  Given an interface b (the boundary trace used for flattening),
 
 Everything is stored mode-wise; derivatives of the harmonic extension are
 the shared multipliers `spectral.dx` (in) and `spectral.lam` (|n|), and
-finite-difference stencils are reserved for residual checks.  Strip fields
-are real, so their columns are Hermitian in the mode index: a strip field
-stores only the modes 0..N/2−1, coeffs (N/2, N_z), and its trace is the one
-place the negative modes are written (by `spectral.hermitian_fill`).  Sums
-over the full spectrum weight the stored modes by `mode_multiplicity`.  A
-strip field is a stack of half spectra, one per depth node: its arithmetic,
-multipliers (`spectral.lam`, `dx`, ...), sampling (`spectral.values_stack`)
-and projection (`spectral.project_stack`) are the boundary fields' own, from
+finite-difference stencils are reserved for residual checks.  A strip field
+is real, so, like a boundary field, it stores only the modes 0..N/2−1: it is
+a stack of half spectra, one per depth node, coeffs (N/2, N_z), and its
+trace is the boundary field of its top row.  Its arithmetic, multipliers
+(`spectral.lam`, `dx`, ...), sampling (`spectral.values_stack`), projection
+(`spectral.project_stack`) and full-spectrum weights
+(`spectral.mode_multiplicity`) are the boundary fields' own, from
 `spectral`.
 """
 
@@ -30,8 +29,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DiffeomorphismError
 from .spectral import (RealField, SpectrumField, _adopt, _check_n_modes, dx,
-                       hermitian_fill, lam, mode_numbers, pad_size, project,
-                       project_stack, values_on_grid, values_stack)
+                       lam, pad_size, project, project_stack, stored_modes,
+                       values_on_grid, values_stack)
 
 
 @dataclass(frozen=True)
@@ -61,19 +60,7 @@ class StripGrid:
     @property
     def modes(self) -> np.ndarray:
         """The modes a strip field stores, 0..N/2−1 (shared, read-only)."""
-        return mode_numbers(self.n_modes)[:self.n_modes // 2]
-
-
-@lru_cache(maxsize=None)
-def mode_multiplicity(n_modes: int) -> np.ndarray:
-    """How often each stored mode 0..N/2−1 occurs in the full spectrum: 1 for
-    mode 0, 2 for ±n (the Nyquist mode is zero).  A sum over the full
-    spectrum of a quantity even in n is this weighted sum over the stored
-    modes (shared, read-only)."""
-    w = np.full(n_modes // 2, 2.0)
-    w[0] = 1.0
-    w.setflags(write=False)
-    return w
+        return stored_modes(self.n_modes)
 
 
 @dataclass(frozen=True)
@@ -81,8 +68,7 @@ class StripField(RealField):
     """Scalar field on the strip, one Fourier row per stored mode.
 
     coeffs has shape (n_modes // 2, n_depth): the modes 0..N/2−1 at every
-    depth node; the negative modes are their conjugates and the Nyquist mode
-    is zero.
+    depth node.
     """
 
     grid: StripGrid
@@ -96,19 +82,12 @@ class StripField(RealField):
                 f"({self.grid.n_modes // 2}, {self.grid.n_depth})")
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def n_modes(self) -> int:
-        return self.grid.n_modes
-
     def _like(self, coeffs: np.ndarray) -> "StripField":
         return _adopt(StripField, coeffs, grid=self.grid)
 
-    def _from_half(self, half: np.ndarray) -> "StripField":
-        return StripField(self.grid, half[:self.grid.n_modes // 2])
-
     def trace(self) -> SpectrumField:
-        """Boundary values at x₂ = 0, in the full layout."""
-        return SpectrumField(hermitian_fill(self.coeffs[:, -1], self.grid.n_modes))
+        """Boundary values at x₂ = 0."""
+        return _adopt(SpectrumField, self.coeffs[:, -1].copy())
 
     def deriv_z(self, order: int = 1, acc: int = 4) -> "StripField":
         """Vertical derivative by finite differences (residual checks only)."""
@@ -197,7 +176,7 @@ def fd_derivative(values: np.ndarray, dz: float, deriv: int, acc: int = 4) -> np
 def extension_profile(grid: StripGrid) -> np.ndarray:
     """e^{|n|x₂} on the stored modes, shape (n_modes // 2, n_depth) (shared,
     read-only)."""
-    prof = np.exp(np.abs(grid.modes.astype(float))[:, None] * grid.z[None, :])
+    prof = np.exp(grid.modes.astype(float)[:, None] * grid.z[None, :])
     prof.setflags(write=False)
     return prof
 
@@ -207,7 +186,7 @@ def harmonic_extension(h: SpectrumField, grid: StripGrid) -> StripField:
     δψ̂(n,x₂) = e^{|n|x₂}ĥ(n); its derivatives ∂₁ and ∂₂ are dx and lam."""
     if h.n_modes != grid.n_modes:
         raise ConfigurationError("interface and grid mode counts differ")
-    return StripField(grid, extension_profile(grid) * h.coeffs[:grid.n_modes // 2, None])
+    return StripField(grid, extension_profile(grid) * h.coeffs[:, None])
 
 
 @dataclass(frozen=True)

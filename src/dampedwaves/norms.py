@@ -4,9 +4,8 @@ Boundary norm:   |v|_{s,λ} = Σ_n (1+|n|)^s e^{λ|n|} |v̂(n)|
 Strip norm:      ‖u‖_{s,k,λ} = Σ_n (1+|n|)^s e^{λ|n|} ∫_{−∞}^0 |∂₂^k û(n,x₂)| dx₂
 Sobolev norm:    |h|_s² = Σ_n (1+|n|^s)² |ĥ(n)|²
 
-All sums run over the represented (truncated) mode set; for strip fields,
-which store the modes 0..N/2−1, that is the sum weighted by
-`geometry.mode_multiplicity`.  Strip integrals use
+All sums run over the represented (truncated) mode set: the stored modes
+0..N/2−1 weighted by `spectral.mode_multiplicity`.  Strip integrals use
 composite trapezoid on [−L_d, 0] plus a modeled tail (each mode is assumed to
 keep decaying like e^{max(1,|n|)x₂} below the truncation depth, which is
 exact for harmonic-extension-type fields).
@@ -24,9 +23,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, NumericsError
-from .geometry import StripField, mode_multiplicity
-from .spectral import (SpectrumField, lam, mode_numbers, pointwise_apply,
-                       pointwise_power, pointwise_product, reciprocal_guard)
+from .geometry import StripField
+from .spectral import (SpectrumField, lam, mode_multiplicity, pointwise_apply,
+                       pointwise_power, pointwise_product, reciprocal_guard,
+                       stored_modes)
 
 DEFAULT_SLACK = 1e-9          # analytic checks
 QUADRATURE_SLACK = 1e-6       # checks involving depth quadrature
@@ -63,16 +63,12 @@ class InequalityReport:
                                 holds=holds, margin=rhs - lhs)
 
 
-def _weights(modes: np.ndarray, s: float, lam_: float) -> np.ndarray:
-    absn = np.abs(modes).astype(float)
-    return (1.0 + absn) ** s * np.exp(lam_ * absn)
-
-
 @lru_cache(maxsize=32)
-def _strip_weights(n_modes: int, s: float, lam_: float) -> np.ndarray:
-    """The strip norm's weights of the stored modes, multiplicity included
-    (shared, read-only)."""
-    w = mode_multiplicity(n_modes) * _weights(mode_numbers(n_modes)[:n_modes // 2], s, lam_)
+def _weights(n_modes: int, s: float, lam_: float) -> np.ndarray:
+    """(1+|n|)^s e^{λ|n|} of the stored modes, multiplicity included, for
+    the boundary and the strip norm (shared, read-only)."""
+    n = stored_modes(n_modes).astype(float)
+    w = mode_multiplicity(n_modes) * (1.0 + n) ** s * np.exp(lam_ * n)
     w.setflags(write=False)
     return w
 
@@ -81,15 +77,15 @@ def wiener_norm(f: SpectrumField, spec: NormSpec) -> float:
     a = np.abs(f.coeffs)
     if not np.all(np.isfinite(a)):
         raise NumericsError("non-finite coefficient in wiener_norm")
-    return float(np.sum(_weights(f.modes, spec.s, spec.lam) * a))
+    return float(np.sum(_weights(f.n_modes, spec.s, spec.lam) * a))
 
 
 def sobolev_norm(f: SpectrumField, s: float) -> float:
     a = np.abs(f.coeffs)
     if not np.all(np.isfinite(a)):
         raise NumericsError("non-finite coefficient in sobolev_norm")
-    w = 1.0 + np.abs(f.modes).astype(float) ** s
-    return float(np.sqrt(np.sum((w * a) ** 2)))
+    w = 1.0 + f.modes.astype(float) ** s
+    return float(np.sqrt(np.sum(mode_multiplicity(f.n_modes) * (w * a) ** 2)))
 
 
 def strip_norm_report(u: StripField, spec: NormSpec, acc: int = 4) -> tuple[float, float]:
@@ -104,7 +100,7 @@ def strip_norm_report(u: StripField, spec: NormSpec, acc: int = 4) -> tuple[floa
     grid = u.grid
     per_mode = np.trapezoid(a, dx=grid.dz, axis=1)
     tail_per_mode = a[:, 0] / np.maximum(grid.modes.astype(float), 1.0)
-    w = _strip_weights(grid.n_modes, spec.s, spec.lam)
+    w = _weights(grid.n_modes, spec.s, spec.lam)
     tail = float(np.sum(w * tail_per_mode))
     return float(np.sum(w * per_mode)) + tail, tail
 

@@ -1,21 +1,20 @@
 """Periodic Fourier representation of real fields.
 
-A real 2π-periodic function v(x₁) is a boundary `SpectrumField`: its Fourier
-coefficients v̂(n), n ∈ [−N/2, N/2), in numpy FFT layout, coeffs (N,).  The
-Nyquist entry (n = −N/2, unpaired for even N) is kept at zero so that every
-multiplier m(n) acts on a symmetric mode set and real fields stay real.
-
-Every field is real, so its coefficients are Hermitian: v̂(−n) = conj v̂(n).
-A strip field (`geometry.StripField`, one spectrum per depth node) stores
-only the modes 0..N/2−1, coeffs (N/2, N_z), so it is Hermitian by
-construction; a boundary field keeps the full layout.  Transforms work on
-the half band for both: values come from the modes 0..N/2−1 by `irfft`,
-samples go back by `rfft`, and `hermitian_fill` writes the negative modes of
-boundary results only.
+A real 2π-periodic function v(x₁) has Hermitian coefficients,
+v̂(−n) = conj v̂(n), so its modes 0..N/2−1 fix it (the Nyquist mode n = −N/2,
+unpaired for even N, is zero, so every multiplier m(n) acts on a symmetric
+mode set).  Every real field stores only those modes along axis 0: a
+boundary `SpectrumField` has coeffs (N/2,), a strip field
+(`geometry.StripField`, one spectrum per depth node) coeffs (N/2, N_z).
+Sums over the full spectrum weight the stored modes by `mode_multiplicity`.
+The full numpy FFT layout, coeffs (N,), appears only where data cross the
+program's edge: the `SpectrumField` constructor reads it, and the snapshot
+writer writes it with `hermitian_fill`.
 
 Both kinds of real field share the arithmetic, fixed multipliers, sampling
-and projection below, all along the mode axis; each kind rebuilds itself
-from the modes 0..N/2−1 through `_from_half`.
+and projection below, all along the mode axis: values come from the stored
+modes by `irfft`, samples go back by `rfft`, and each kind rebuilds itself
+from the transform's modes 0..N/2−1 through `_from_half`.
 
 Fourier-multiplier operators (Λ = |n|, ∂₁ = in, ∂₁², heat kernel e^{−κn²})
 act diagonally on the coefficients.  Every pointwise nonlinearity is
@@ -45,26 +44,49 @@ def _check_n_modes(n_modes: int) -> None:
             f"n_modes must be even and >= 4, got {n_modes}")
 
 
+LAYOUT_TOL = 1e-12   # relative Hermitian defect the constructor accepts
+
+
 @lru_cache(maxsize=None)
-def mode_numbers(n_modes: int) -> np.ndarray:
-    """Signed integer mode numbers in numpy FFT order (shared, read-only)."""
-    n = np.fft.fftfreq(n_modes, d=1.0 / n_modes).astype(int)
+def stored_modes(n_modes: int) -> np.ndarray:
+    """The modes 0..N/2−1 a real field stores (shared, read-only)."""
+    n = np.arange(n_modes // 2)
     n.setflags(write=False)
     return n
 
 
+@lru_cache(maxsize=None)
+def mode_multiplicity(n_modes: int) -> np.ndarray:
+    """How often each stored mode 0..N/2−1 occurs in the full spectrum: 1 for
+    mode 0, 2 for ±n (the Nyquist mode is zero).  A sum over the full
+    spectrum of a quantity even in n is this weighted sum over the stored
+    modes (shared, read-only)."""
+    w = np.full(n_modes // 2, 2.0)
+    w[0] = 1.0
+    w.setflags(write=False)
+    return w
+
+
 class RealField:
-    """Arithmetic of a real field whose coeffs hold the modes along axis 0;
-    subclasses define `_like(coeffs)`, a field of the same kind and grid
-    that adopts coeffs, a fresh array in its own storage, without a copy,
-    and `_from_half(half)`, a copied one from the modes 0..N/2−1 along
-    axis 0 (extra rows ignored)."""
+    """Arithmetic of a real field whose coeffs hold the modes 0..N/2−1 along
+    axis 0; subclasses define `_like(coeffs)`, a field of the same kind and
+    grid that adopts coeffs, a fresh array in its own storage, without a
+    copy."""
 
     coeffs: np.ndarray
 
     @property
     def n_modes(self) -> int:
-        return self.coeffs.shape[0]
+        return 2 * self.coeffs.shape[0]
+
+    @property
+    def modes(self) -> np.ndarray:
+        return stored_modes(self.n_modes)
+
+    def _from_half(self, half: np.ndarray) -> "RealField":
+        """A field of the same kind and grid from the modes 0..N/2−1 along
+        axis 0 of half (extra rows ignored), copied."""
+        return self._like(half[:self.coeffs.shape[0]].copy())
 
     def __add__(self, other):
         return self._like(self.coeffs + other.coeffs)
@@ -85,29 +107,30 @@ class RealField:
 class SpectrumField(RealField):
     """Real periodic function of x₁ stored as Fourier coefficients.
 
-    coeffs[k] is v̂(n_k) with n_k = mode_numbers(n_modes)[k]; Hermitian
-    symmetry v̂(−n) = conj v̂(n) is maintained by construction for every
-    operation on real input.
+    coeffs[n] is v̂(n) for the modes n = 0..N/2−1.  The constructor takes
+    the full numpy FFT layout (N,) of a real field, v̂(n) at index n mod N,
+    and keeps its modes 0..N/2−1.  It raises ConfigurationError when the
+    Nyquist entry is nonzero or the negative modes are not the conjugates of
+    the positive ones, beyond LAYOUT_TOL·max|v̂|, as for a half spectrum
+    passed by mistake.
     """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=np.complex128)  # own copy
-        _check_n_modes(c.size)
-        c[c.size // 2] = 0.0  # Nyquist stays zeroed
-        object.__setattr__(self, "coeffs", c)
+        full = np.asarray(self.coeffs, dtype=np.complex128)
+        _check_n_modes(full.size)
+        half = full[:full.size // 2]
+        with np.errstate(invalid="ignore"):     # inf − inf: the norms reject it
+            defect = np.max(np.abs(full - hermitian_fill(half)))
+        if defect > LAYOUT_TOL * np.max(np.abs(full)):
+            raise ConfigurationError(
+                f"coefficients of {full.size} modes are not the FFT layout of a "
+                f"real field (Hermitian defect {defect:.3e})")
+        object.__setattr__(self, "coeffs", half.copy())
 
     def _like(self, coeffs: np.ndarray) -> "SpectrumField":
-        coeffs[coeffs.size // 2] = 0.0  # e.g. negation leaves −0.0 there
         return _adopt(SpectrumField, coeffs)
-
-    def _from_half(self, half: np.ndarray) -> "SpectrumField":
-        return SpectrumField(hermitian_fill(half, self.n_modes))
-
-    @property
-    def modes(self) -> np.ndarray:
-        return mode_numbers(self.n_modes)
 
 
 def _adopt(cls: type, coeffs: np.ndarray, **attrs) -> RealField:
@@ -123,7 +146,7 @@ def _adopt(cls: type, coeffs: np.ndarray, **attrs) -> RealField:
 
 def zero_field(n_modes: int) -> SpectrumField:
     _check_n_modes(n_modes)
-    return SpectrumField(np.zeros(n_modes, dtype=np.complex128))
+    return _adopt(SpectrumField, np.zeros(n_modes // 2, dtype=np.complex128))
 
 
 def cosine(n: int, amplitude: float, n_modes: int, phase: float = 0.0) -> SpectrumField:
@@ -131,30 +154,22 @@ def cosine(n: int, amplitude: float, n_modes: int, phase: float = 0.0) -> Spectr
     _check_n_modes(n_modes)
     if not 0 <= n < n_modes // 2:
         raise ConfigurationError(f"mode {n} not representable with N={n_modes}")
-    c = np.zeros(n_modes, dtype=np.complex128)
-    if n == 0:
-        c[0] = amplitude * np.cos(phase)
-    else:
-        c[n] = 0.5 * amplitude * np.exp(1j * phase)
-        c[-n] = np.conj(c[n])
-    return SpectrumField(c)
+    c = np.zeros(n_modes // 2, dtype=np.complex128)
+    c[n] = amplitude * np.cos(phase) if n == 0 else 0.5 * amplitude * np.exp(1j * phase)
+    return _adopt(SpectrumField, c)
 
 
 def sine(n: int, amplitude: float, n_modes: int) -> SpectrumField:
     return cosine(n, amplitude, n_modes, phase=-np.pi / 2.0)
 
 
-def hermitian_fill(half: np.ndarray, n_modes: int) -> np.ndarray:
-    """Full FFT-layout coefficients of a real field from its modes 0..N/2−1.
-
-    half holds the modes along axis 0, at least N/2 of them (extra ones are
-    ignored).  The output has N rows: modes 0..N/2−1 as given, a zero Nyquist
-    row, and conj of modes N/2−1..1 in the negative slots.  Boundary fields
-    get their negative modes here, including the traces of strip fields.
-    """
-    k = n_modes // 2
-    out = np.empty((n_modes,) + half.shape[1:], dtype=np.complex128)
-    out[:k] = half[:k]
+def hermitian_fill(half: np.ndarray) -> np.ndarray:
+    """Full FFT-layout coefficients (N, ...) of a real field from its modes
+    0..N/2−1 along axis 0: the modes as given, a zero Nyquist row, and the
+    conjugates of the modes N/2−1..1 in the negative slots."""
+    k = half.shape[0]
+    out = np.empty((2 * k,) + half.shape[1:], dtype=np.complex128)
+    out[:k] = half
     out[k] = 0.0
     np.conjugate(half[k - 1:0:-1], out=out[k + 1:])
     return out
@@ -181,15 +196,15 @@ def values_stack(fields: Sequence[RealField], m: int) -> np.ndarray:
     """Samples of real fields of one kind and grid on one m-point grid
     (m >= N): shape (len(fields), m), or (len(fields), m, N_z) for strips.
 
-    One batched `irfft` of the modes 0..N/2−1 along the last axis of a
+    One batched `irfft` of the stored modes along the last axis of a
     depth-major buffer; strip samples are a view with the depth axis last.
     Entry i equals values_on_grid(fields[i], m).
     """
     c0 = fields[0].coeffs
-    k = fields[0].n_modes // 2
+    k = c0.shape[0]
     half = np.zeros((len(fields),) + c0.shape[1:] + (m // 2 + 1,), dtype=np.complex128)
     for block, f in zip(half, fields):
-        block[..., :k] = f.coeffs[:k].T
+        block[..., :k] = f.coeffs.T
     return np.fft.irfft(half, n=m, axis=-1, norm="forward").swapaxes(1, -1)
 
 
@@ -226,8 +241,7 @@ def _symbol_values(symbol: Callable[[np.ndarray], np.ndarray],
 
 # symbols of the fixed multipliers below, as functions of (modes, parameter)
 _SYMBOLS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
-    "lam": lambda n, r: (np.abs(n).astype(float) if r == 1.0
-                         else np.power(np.abs(n).astype(float), r)),
+    "lam": lambda n, r: n.astype(float) if r == 1.0 else np.power(n.astype(float), r),
     "dx": lambda n, _: 1j * n,
     "dxx": lambda n, _: -(n.astype(float) ** 2),
     "mollify": lambda n, kappa: np.exp(-kappa * n.astype(float) ** 2),
@@ -235,21 +249,19 @@ _SYMBOLS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
 
 
 @lru_cache(maxsize=256)
-def _fixed_symbol(kind: str, n_modes: int, param: float, rows: int,
-                  ndim: int) -> np.ndarray:
-    """Checked symbol of a fixed multiplier on the first `rows` modes of the
-    FFT layout (N for boundary fields, N/2 for strips), built once per
-    (kind, N, param), shaped (rows, 1, ...) to broadcast over the depth axis
-    of ndim-d coeffs."""
-    m = _symbol_values(lambda n: _SYMBOLS[kind](n, param), mode_numbers(n_modes)[:rows])
-    m = m.reshape((rows,) + (1,) * (ndim - 1))
+def _fixed_symbol(kind: str, n_modes: int, param: float, ndim: int) -> np.ndarray:
+    """Checked symbol of a fixed multiplier on the stored modes 0..N/2−1,
+    built once per (kind, N, param), shaped (N/2, 1, ...) to broadcast over
+    the depth axis of ndim-d coeffs."""
+    m = _symbol_values(lambda n: _SYMBOLS[kind](n, param), stored_modes(n_modes))
+    m = m.reshape((n_modes // 2,) + (1,) * (ndim - 1))
     m.setflags(write=False)
     return m
 
 
 def _apply_fixed(f: RealField, kind: str, param: float = 0.0) -> RealField:
     c = f.coeffs
-    return f._like(_fixed_symbol(kind, f.n_modes, param, c.shape[0], c.ndim) * c)
+    return f._like(_fixed_symbol(kind, f.n_modes, param, c.ndim) * c)
 
 
 def lam(f: RealField, power: float = 1.0) -> RealField:

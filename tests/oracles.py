@@ -1,10 +1,10 @@
 """Reference computations that only the tests use.
 
-Small helpers that read a spectrum by signed mode or measure its Hermitian
-defect; M·u written from the evolution docstring's M(n); the lemma checks
-whose sharp constants the package's runs never evaluate; and the ξ energy
-budget as computed before the stepper carried its remainder, by solving
-every interior record afresh.
+Small helpers that number the modes of the FFT layout and read a spectrum
+by signed mode; M·u written from the evolution docstring's M(n); the lemma
+checks whose sharp constants the package's runs never evaluate; and the ξ
+energy budget as computed before the stepper carried its remainder, by
+solving every interior record afresh.
 """
 
 from __future__ import annotations
@@ -17,20 +17,19 @@ from dampedwaves.errors import ConfigurationError
 from dampedwaves.geometry import StripGrid, harmonic_extension
 from dampedwaves.norms import (DEFAULT_SLACK, QUADRATURE_SLACK, InequalityReport,
                                NormSpec, wiener_norm)
-from dampedwaves.spectral import (SpectrumField, dx, lam, mode_numbers, pad_size,
-                                  project_stack, values_stack)
+from dampedwaves.spectral import (SpectrumField, dx, hermitian_fill, lam,
+                                  mode_multiplicity, pad_size, project_stack,
+                                  values_stack)
+
+
+def signed_modes(n_modes: int) -> np.ndarray:
+    """Signed mode numbers in numpy FFT order: 0, 1, …, N/2−1, −N/2, …, −1."""
+    return np.fft.fftfreq(n_modes, d=1.0 / n_modes).astype(int)
 
 
 def coeff(f: SpectrumField, n: int) -> complex:
-    """f̂(n) for a signed mode n."""
-    return complex(f.coeffs[n % f.n_modes])
-
-
-def hermitian_defect(f: SpectrumField) -> float:
-    """Max |f̂(−n) − conj f̂(n)| over the represented modes."""
-    c = f.coeffs
-    cr = np.roll(c[::-1], 1)  # entry at −n
-    return float(np.max(np.abs(cr - np.conj(c))))
+    """f̂(n) for a signed mode n, from the FFT layout of f."""
+    return complex(hermitian_fill(f.coeffs)[n % f.n_modes])
 
 
 def grid_points(n_modes: int) -> np.ndarray:
@@ -79,9 +78,10 @@ def check_semigroup_multiplier(v: SpectrumField, s: float, lam_: float, j: int =
     """
     if j < 1:
         raise ConfigurationError("vertical derivative count j must be >= 1")
-    absn = np.abs(v.modes).astype(float)
-    per_mode = absn ** (j - 1) * np.abs(v.coeffs)   # includes the exact tail
-    lhs = float(np.sum((1.0 + absn) ** s * np.exp(lam_ * absn) * per_mode))
+    n = v.modes.astype(float)
+    per_mode = n ** (j - 1) * np.abs(v.coeffs)   # includes the exact tail
+    lhs = float(np.sum(mode_multiplicity(v.n_modes) * (1.0 + n) ** s
+                       * np.exp(lam_ * n) * per_mode))
     rhs = wiener_norm(lam(v, float(j - 1)), NormSpec(s, lam_))
     return InequalityReport.compare(lhs, rhs, 1.0, slack)
 
@@ -98,8 +98,8 @@ def check_extension_chain(xi: SpectrumField, grid: StripGrid, r: float, s: float
         raise ConfigurationError("derivative direction i must be 1 or 2")
     phi1 = harmonic_extension(xi, grid)
     n = xi.modes.astype(float)
-    sym = (1j * n) if i == 1 else np.abs(n)
-    trace = SpectrumField(sym * np.abs(n) ** j * (np.abs(n) ** r) * phi1.trace().coeffs)
+    sym = (1j * n) if i == 1 else n
+    trace = SpectrumField(hermitian_fill(sym * n ** j * n ** r * phi1.trace().coeffs))
     lhs = wiener_norm(trace, NormSpec(s, lam_))
     rhs = wiener_norm(lam(xi, r + j + 1), NormSpec(s, lam_))
     return InequalityReport.compare(lhs, rhs, 1.0, slack)
@@ -118,7 +118,7 @@ def resolved_xi_energy_budget(traj: ev.Trajectory,
     states = traj.states
     if len(states) < 3:
         raise ConfigurationError("budget check needs at least three records")
-    modes = mode_numbers(states[0].n_modes)
+    modes = states[0].xi.modes
     worst = None
     holds = True
     for i in range(1, len(states) - 1):
@@ -135,7 +135,7 @@ def resolved_xi_energy_budget(traj: ev.Trajectory,
         rhs = (-(params.alpha - params.mu) *
                floored_wiener(lam(s0.xi, 2.0), 1.0, lam_t, floor_rel)
                + floored_wiener(s0.h, 1.0, lam_t, floor_rel)
-               + floored_wiener(SpectrumField(nl), 1.0, lam_t, floor_rel))
+               + floored_wiener(SpectrumField(hermitian_fill(nl)), 1.0, lam_t, floor_rel))
         slack = rel_slack * max(abs(dxi), abs(rhs), 1e-14)
         if worst is None or dxi - rhs > worst[0] - worst[1]:
             worst = (dxi, rhs + slack)

@@ -56,7 +56,6 @@ def test_criterion_1_linear_fidelity():
 # ---------------------------------------------------------------------------
 # 2. manufactured elliptic solution
 
-@pytest.mark.filterwarnings("ignore:forcing has not decayed")
 def test_criterion_2_manufactured_solution():
     t0 = time.perf_counter()
     errs = dict(hz.manufactured_solution_errors((512,), depth=8.0))

@@ -168,16 +168,34 @@ class TestCli:
                                                           "smallness_cap"]
         assert verdict["summary"]["mixed_solves"] == 0
         assert verdict["summary"]["max_picard_iters"] >= 1
-        # the budget margin, equal to the one solved afresh at every record
+        # the relative budget margin, equal to the one solved afresh at every record
         cfg = cf.parse_config(tiny_config.read_text())
         traj = ev.run(*cf.initial_data(cfg), cfg.params, cfg.grid, cfg.dt, cfg.t_final,
                       record_every=cfg.record_every, opts=cfg.step_options)
-        assert verdict["summary"]["xi_budget_margin"] == \
-            resolved_xi_energy_budget(traj).margin
+        rep = resolved_xi_energy_budget(traj)
+        assert verdict["summary"]["xi_budget_rel_margin"] == rep.margin / abs(rep.rhs)
         snaps = (out / "snapshots.jsonl").read_text().splitlines()
         assert len(snaps) >= 2
         first = json.loads(snaps[0])
         assert len(first["h_re"]) == 16
+
+    def test_snapshots_are_real_field_fft_layouts(self, tiny_config, tmp_path,
+                                                  monkeypatch):
+        # the writer fills in the negative modes of the stored modes 0..N/2−1
+        monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(tiny_config), "--output-dir", str(out)) == 0
+        snaps = (out / "snapshots.jsonl").read_text().splitlines()
+        assert len(snaps) >= 2
+        for line in snaps:
+            d = json.loads(line)
+            for name in ("h", "xi"):
+                c = np.array(d[name + "_re"]) + 1j * np.array(d[name + "_im"])
+                assert c.shape == (16,) and np.any(c != 0.0)
+                assert np.array_equal(c[9:], np.conj(c[7:0:-1]))    # v̂(−n) = conj v̂(n)
+                assert d[name + "_re"][8] == 0.0 and d[name + "_im"][8] == 0.0
+                assert d[name + "_im"][0] == 0.0
+            assert d["h_re"][0] == 0.0                          # zero-mean interface
 
     @pytest.mark.parametrize("t_final", ["0.0", "0.002"])
     def test_budget_margin_null_below_three_records(self, tiny_config, tmp_path,
@@ -188,7 +206,7 @@ class TestCli:
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(tiny_config), "--output-dir", str(out)) == 0
         verdict = json.loads((out / "verdict.json").read_text())
-        assert verdict["summary"]["xi_budget_margin"] is None
+        assert verdict["summary"]["xi_budget_rel_margin"] is None
 
     def test_small_amplitude_run_never_mixes(self, tiny_config, tmp_path, monkeypatch):
         # the same bytes as a run whose φ₂ solves can never switch to mixing
@@ -485,7 +503,8 @@ def test_verdict_summary_counts_mixed_solves(tmp_path, monkeypatch):
     cfg = cf.parse_config(text)
     traj = ev.run(*cf.initial_data(cfg), cfg.params, cfg.grid, cfg.dt, cfg.t_final,
                   record_every=cfg.record_every, opts=cfg.step_options)
+    rep = dg.check_xi_energy_budget(traj)
     assert verdict["summary"] == {"max_picard_iters": traj.max_picard_iters,
                                   "mixed_solves": traj.mixed_solves,
-                                  "xi_budget_margin": dg.check_xi_energy_budget(traj).margin}
+                                  "xi_budget_rel_margin": (rep.rhs - rep.lhs) / abs(rep.rhs)}
     assert traj.mixed_solves == 2 * wl.steps       # every stepper solve switched

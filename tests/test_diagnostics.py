@@ -9,8 +9,7 @@ from dampedwaves import evolution as ev
 from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
 from dampedwaves.errors import ConfigurationError, DiffeomorphismError
-from oracles import (check_A_deviation, coeff, hermitian_defect,
-                     resolved_xi_energy_budget)
+from oracles import check_A_deviation, coeff, resolved_xi_energy_budget
 
 
 def decay_fixture_run(record_every: int, opts: ev.StepOptions | None = None):
@@ -43,12 +42,20 @@ class TestRadius:
         fit = dg.analyticity_radius(sp.cosine(1, 1.0, 32))
         assert not fit.defined
 
+    def test_two_modes_define_the_radius(self):
+        # RADIUS_MIN_POINTS = 2 stored modes: n = 1, 2 above the floor fit
+        f = sp.cosine(1, 1.0, 32) + sp.cosine(2, 0.25, 32) + sp.cosine(0, 3.0, 32)
+        fit = dg.analyticity_radius(f)
+        assert fit.defined and fit.n_points == 2
+        assert fit.rho == pytest.approx(np.log(4.0), rel=1e-14)
+        assert not dg.analyticity_radius(f, noise_floor=0.2).defined
+
     def test_zero_field_sentinel(self):
         assert not dg.analyticity_radius(sp.zero_field(32)).defined
 
     def test_noise_floor_excludes_junk(self):
         f = synthetic_exponential_spectrum(0.5, max_mode=6)
-        c = f.coeffs.copy()
+        c = sp.hermitian_fill(f.coeffs)
         c[10] = c[-10] = 1e-15   # round-off junk far below the floor
         fit = dg.analyticity_radius(sp.SpectrumField(c))
         assert fit.rho == pytest.approx(0.5, abs=1e-9)
@@ -57,7 +64,7 @@ class TestRadius:
         h = sp.cosine(1, 1e-3, 32) + sp.cosine(2, 1e-4, 32)
         xi = sp.sine(1, 2e-3, 32) + sp.sine(2, 1e-4, 32)
         env = dg.envelope_spectrum(h, xi)
-        assert hermitian_defect(env) == 0.0
+        assert env.coeffs.shape == (16,) and np.all(env.coeffs.imag == 0.0)
         e1 = abs(coeff(env, 1))
         assert e1 == pytest.approx(np.sqrt(1.0 * (1e-3) ** 2 + (0.5e-3) ** 2),
                                    rel=1e-12)
@@ -184,7 +191,8 @@ class TestXiBudget:
     def test_linear_only_remainder_is_zero(self):
         traj = decay_fixture_run(20, ev.StepOptions(linear_only=True))
         assert traj.xi_remainder[-1] is None
-        assert all(np.all(r == 0.0) for r in traj.xi_remainder[:-1])
+        assert all(isinstance(r, sp.SpectrumField) and np.all(r.coeffs == 0.0)
+                   for r in traj.xi_remainder[:-1])
         rep = dg.check_xi_energy_budget(traj)
         assert rep == resolved_xi_energy_budget(traj)
         # the nonlinear remainder, which this run never applied, is not zero

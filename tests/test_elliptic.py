@@ -10,7 +10,7 @@ from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
 from dampedwaves.config import initial_data, parse_config
 from dampedwaves.errors import ContractionError
-from oracles import coeff, hermitian_defect
+from oracles import coeff, signed_modes
 from dampedwaves.norms import NormSpec, strip_norm
 from dampedwaves.harness import (elliptic_bound_trials, random_boundary_field,
                                  manufactured_solution_errors,
@@ -81,7 +81,7 @@ def rel_diff(a: geo.StripField, b: geo.StripField) -> float:
 
 def full(f: geo.StripField) -> np.ndarray:
     """The full N-row FFT layout of a strip field's coefficients."""
-    return sp.hermitian_fill(f.coeffs, f.grid.n_modes)
+    return sp.hermitian_fill(f.coeffs)
 
 
 class TestPhi1:
@@ -376,7 +376,7 @@ class TestAndersonMixing:
             assert np.all(np.isfinite(g1.coeffs)) and np.all(np.isfinite(g2.coeffs))
 
     def test_singular_fit_means_a_plain_sweep(self):
-        w = geo.mode_multiplicity(8)[:, None]
+        w = sp.mode_multiplicity(8)[:, None]
         f = np.ones((4, 6), dtype=np.complex128)
         zero = np.zeros_like(f)
         assert el._mixing_coefficients([zero, zero], f, w) is None
@@ -539,7 +539,7 @@ def full_band_poisson(g1, g2, tail_tol=1e-6):
     """poisson_divform over all N modes with a plain prefix loop and the four
     integrals A₁, A₂, B₁, B₂ (reference); full-layout results."""
     grid = g1.grid
-    n = sp.mode_numbers(grid.n_modes).astype(float)
+    n = signed_modes(grid.n_modes).astype(float)
     absn = np.abs(n)
     dz = grid.dz
     f = np.array([full(g1), full(g2)])
@@ -620,7 +620,7 @@ def full_strip_norm(u, spec, acc=4) -> float:
     grid = u.grid
     c = full(u) if spec.k == 0 else geo.fd_derivative(full(u), grid.dz, spec.k, acc)
     a = np.abs(c)
-    absn = np.abs(sp.mode_numbers(grid.n_modes)).astype(float)
+    absn = np.abs(signed_modes(grid.n_modes)).astype(float)
     w = (1.0 + absn) ** spec.s * np.exp(spec.lam * absn)
     per_mode = np.trapezoid(a, dx=grid.dz, axis=1) + a[:, 0] / np.maximum(absn, 1.0)
     return float(np.sum(w * per_mode))
@@ -629,7 +629,7 @@ def full_strip_norm(u, spec, acc=4) -> float:
 def full_gradient_norm(phi1, phi2, dzphi2, s=2.5) -> float:
     grid = phi1.grid
     dens = np.abs(full(sp.dx(phi1 + phi2))) ** 2 + np.abs(full(sp.lam(phi1) + dzphi2)) ** 2
-    absn = np.abs(sp.mode_numbers(grid.n_modes)).astype(float)
+    absn = np.abs(signed_modes(grid.n_modes)).astype(float)
     per_mode = np.trapezoid(dens, dx=grid.dz, axis=1) + dens[:, 0] / (2.0 * np.maximum(absn, 1.0))
     return float(np.sum((1.0 + absn) ** (2.0 * s) * per_mode))
 
@@ -663,6 +663,28 @@ class TestFullSpectrumReductions:
         assert el.gradient_norm(u, v, w) == pytest.approx(full_gradient_norm(u, v, w),
                                                           rel=1e-14)
 
+    @pytest.mark.parametrize("n_modes", (8, 64))
+    def test_boundary_norms(self, n_modes):
+        from dampedwaves.diagnostics import floored_wiener
+        from dampedwaves.norms import sobolev_norm, wiener_norm
+        rng = np.random.default_rng(n_modes)
+        # the top mode sits below floored_wiener's 1e-13 relative floor
+        f = (random_boundary_field(rng, n_modes, n_modes // 2 - 2, zero_mean=False)
+             + sp.cosine(n_modes // 2 - 1, 1e-15, n_modes))
+        a = np.abs(sp.hermitian_fill(f.coeffs))
+        absn = np.abs(signed_modes(n_modes)).astype(float)
+        for s, lam_ in ((0.0, 0.0), (1.5, 0.2), (3.0, 0.0)):
+            ref = float(np.sum((1.0 + absn) ** s * np.exp(lam_ * absn) * a))
+            assert wiener_norm(f, NormSpec(s, lam_)) == pytest.approx(ref, rel=1e-14)
+            ref = float(np.sqrt(np.sum(((1.0 + absn ** s) * a) ** 2)))
+            assert sobolev_norm(f, s) == pytest.approx(ref, rel=1e-14)
+        keep = a > 1e-13 * np.max(a)
+        assert np.count_nonzero(keep) == n_modes - 3
+        for s, lam_t in ((1.0, 0.0), (1.0, 2.0), (2.0, 0.5)):
+            ref = float(np.sum((1.0 + absn[keep]) ** s * np.exp(lam_t * absn[keep])
+                               * a[keep]))
+            assert floored_wiener(f, s, lam_t) == pytest.approx(ref, rel=1e-14)
+
     @pytest.mark.parametrize("n_modes,n_depth", GRIDS)
     def test_residuals(self, n_modes, n_depth):
         bundle, phi1, sol = self.solved(n_modes, n_depth)
@@ -690,5 +712,4 @@ class TestFullSpectrumReductions:
         for f in (phi1.trace(), sol.g1.trace(), poisson.dz_trace,
                   sol.traces.dphi2_dz0, el.second_trace_kernel(sol.g1, sol.g2)):
             assert isinstance(f, sp.SpectrumField) and f.n_modes == n_modes
-            assert hermitian_defect(f) == 0.0
-            assert f.coeffs[n_modes // 2] == 0.0
+            assert f.coeffs.shape == (n_modes // 2,) and f.coeffs[0].imag == 0.0

@@ -10,7 +10,7 @@ from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
 from dampedwaves.errors import ConfigurationError, NumericsError
 from dampedwaves.harness import linear_exponential
-from oracles import hermitian_defect, linear_rhs
+from oracles import linear_rhs
 
 
 def small_grid(n_modes=32, n_depth=129):
@@ -94,7 +94,7 @@ class TestRhs:
         st = ev.SimState(h=sp.cosine(1, delta, 32), xi=sp.sine(1, delta, 32), t=0.0)
         r = ev.evaluate_rhs(st, ev.ModelParams(alpha=alpha), grid,
                             ev.StepOptions(picard_tol=1e-16, picard_max_iter=30))
-        modes = sp.mode_numbers(32)
+        modes = sp.stored_modes(32)
         lin = linear_rhs(np.stack([st.xi.coeffs, st.h.coeffs]), modes, alpha)
         assert np.max(np.abs(r.h_t.coeffs - lin[1])) <= 10 * delta ** 2
         assert np.max(np.abs(r.xi_t.coeffs - lin[0])) <= 10 * delta ** 2
@@ -140,7 +140,7 @@ class TestRhs:
         xi = sp.sine(1, 0.5, 32)
         st = ev.SimState(h=h, xi=xi, t=0.0)
         r = ev.evaluate_rhs(st, ev.ModelParams(alpha=2.0, epsilon=0.0), grid)
-        lin = linear_rhs(np.stack([xi.coeffs, h.coeffs]), sp.mode_numbers(32), 2.0)
+        lin = linear_rhs(np.stack([xi.coeffs, h.coeffs]), sp.stored_modes(32), 2.0)
         assert np.max(np.abs(r.xi_t.coeffs - lin[0])) < 1e-14
         assert np.max(np.abs(r.h_t.coeffs - lin[1])) < 1e-14
 
@@ -168,7 +168,7 @@ class TestStep:
         st = ev.SimState(h=sp.cosine(2, 0.1, 32), xi=sp.sine(1, 0.2, 32), t=0.0)
         out, _ = ev.step(st, ev.ModelParams(alpha=3.0), grid, 1e-2,
                          ev.StepOptions(linear_only=True))
-        ref = linear_reference(st, 3.0, 1e-2, sp.mode_numbers(32))
+        ref = linear_reference(st, 3.0, 1e-2, sp.stored_modes(32))
         assert np.max(np.abs(out.xi.coeffs - ref[0])) < 1e-12
         assert np.max(np.abs(out.h.coeffs - ref[1])) < 1e-12
 
@@ -218,7 +218,7 @@ class TestStep:
                       record_every=100, opts=ev.StepOptions(linear_only=True))
         for state in traj.states:
             ref = linear_reference(traj.states[0], 3.0, state.t,
-                                   sp.mode_numbers(16))
+                                   sp.stored_modes(16))
             assert np.max(np.abs(state.xi.coeffs - ref[0])) < 1e-10
             assert np.max(np.abs(state.h.coeffs - ref[1])) < 1e-10
 
@@ -307,5 +307,6 @@ class TestHermitianStability:
                       record_every=200)
         assert traj.max_mean_drift <= 1e-10
         s = traj.states[-1]
-        assert hermitian_defect(s.h) <= 1e-13
-        assert hermitian_defect(s.xi) <= 1e-13
+        # negative modes are conjugates by storage; the mean stays real
+        assert 2.0 * abs(s.h.coeffs[0].imag) <= 1e-13
+        assert 2.0 * abs(s.xi.coeffs[0].imag) <= 1e-13

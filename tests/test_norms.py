@@ -94,14 +94,16 @@ class TestStripNorm:
         grid = StripGrid(32, depth=8.0, n_depth=65)
         u = random_strip_field(np.random.default_rng(11), grid, 15)
         n = grid.modes.astype(float)
-        w = nm.mode_multiplicity(32) * ((1.0 + n) ** s * np.exp(lam_ * n))
+        w = sp.mode_multiplicity(32) * ((1.0 + n) ** s * np.exp(lam_ * n))
         a = np.abs(u.coeffs)
         tail = float(np.sum(w * (a[:, 0] / np.maximum(n, 1.0))))
         want = float(np.sum(w * np.trapezoid(a, dx=grid.dz, axis=1))) + tail
         for _ in range(2):      # filling the cache, then reading it
             assert nm.strip_norm_report(u, nm.NormSpec(s, lam_, 0)) == (want, tail)
-        cached = nm._strip_weights(32, s, lam_)
-        assert cached is nm._strip_weights(32, s, lam_) and not cached.flags.writeable
+        cached = nm._weights(32, s, lam_)
+        assert cached is nm._weights(32, s, lam_) and not cached.flags.writeable
+        f = u.trace()                    # the boundary norm reads the same table
+        assert nm.wiener_norm(f, nm.NormSpec(s, lam_)) == float(np.sum(w * np.abs(f.coeffs)))
 
     def test_k_needs_enough_nodes(self):
         grid = StripGrid(16, depth=8.0, n_depth=8)

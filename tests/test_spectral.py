@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
 from dampedwaves.errors import ConfigurationError, NumericsError, SingularityError
-from oracles import coeff, grid_points, hermitian_defect
+from oracles import coeff, grid_points
 
 
 def full_pad(coeffs, m):
@@ -29,14 +29,19 @@ def full_truncate(coeffs, n):
     return out
 
 
-def random_real_field(seed, n_modes=64, max_mode=20):
+def random_layout(seed, n_modes=64, max_mode=20):
+    """FFT-layout coefficients (N,) of a random real field."""
     rng = np.random.default_rng(seed)
     c = np.zeros(n_modes, dtype=np.complex128)
     for n in range(1, max_mode + 1):
         c[n] = (rng.standard_normal() + 1j * rng.standard_normal()) * np.exp(-0.3 * n)
         c[-n] = np.conj(c[n])
     c[0] = rng.standard_normal()
-    return sp.SpectrumField(c)
+    return c
+
+
+def random_real_field(seed, n_modes=64, max_mode=20):
+    return sp.SpectrumField(random_layout(seed, n_modes, max_mode))
 
 
 class TestTransform:
@@ -91,8 +96,8 @@ class TestMultipliers:
         f = random_real_field(11)
         n = f.modes.astype(float)
         a = sp.lam(sp.mollify(f, 0.05))
-        b = sp.SpectrumField(np.abs(n) * np.exp(-0.05 * n ** 2) * f.coeffs)
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-15 * np.max(np.abs(f.coeffs))
+        b = n * np.exp(-0.05 * n ** 2) * f.coeffs
+        assert np.max(np.abs(a.coeffs - b)) < 1e-15 * np.max(np.abs(f.coeffs))
 
 
 class TestMollify:
@@ -140,11 +145,11 @@ class TestProducts:
         f64 = random_real_field(21, n_modes=64, max_mode=31)
         g64 = random_real_field(22, n_modes=64, max_mode=31)
         p64 = sp.pointwise_product(f64, g64)
-        f256 = sp.SpectrumField(full_pad(f64.coeffs, 256))
-        g256 = sp.SpectrumField(full_pad(g64.coeffs, 256))
+        f256 = sp.SpectrumField(full_pad(sp.hermitian_fill(f64.coeffs), 256))
+        g256 = sp.SpectrumField(full_pad(sp.hermitian_fill(g64.coeffs), 256))
         p256 = sp.pointwise_product(f256, g256)
-        ref = full_truncate(p256.coeffs, 64)
-        assert np.max(np.abs(p64.coeffs - ref)) < 1e-10
+        ref = full_truncate(sp.hermitian_fill(p256.coeffs), 64)
+        assert np.max(np.abs(sp.hermitian_fill(p64.coeffs) - ref)) < 1e-10
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -178,21 +183,26 @@ class TestDealiasing:
         ref = np.zeros(n_modes, dtype=np.complex128)
         ref[np.arange(-k, k + 1)] = exact[(p - 1) * k:(p + 1) * k + 1]
         out = sp.pointwise_power(sp.SpectrumField(c), p)
-        assert np.max(np.abs(out.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(sp.hermitian_fill(out.coeffs) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestInvariants:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6))
     def test_hermitian_symmetry_preserved(self, seed):
+        # stored modes 0..N/2−1 make v̂(−n) = conj v̂(n) hold by construction;
+        # what is left of the Hermitian defect is the imaginary part of v̂(0)
         f = random_real_field(seed, n_modes=32, max_mode=10)
         g = random_real_field(seed + 1, n_modes=32, max_mode=10)
         scale = np.max(np.abs(f.coeffs)) + 1e-30
-        assert hermitian_defect(f) < 1e-13 * scale
+        assert f.coeffs.shape == (16,) and abs(f.coeffs[0].imag) < 1e-13 * scale
         for out in (sp.lam(f), sp.dx(f), sp.mollify(f, 0.3),
                     sp.pointwise_product(f, g)):
             s = np.max(np.abs(out.coeffs)) + 1e-30
-            assert hermitian_defect(out) < 1e-12 * s
+            assert out.coeffs.shape == (16,)
+            assert 2.0 * abs(out.coeffs[0].imag) < 1e-12 * s
+            full = sp.hermitian_fill(out.coeffs)
+            assert np.array_equal(sp.SpectrumField(full).coeffs, out.coeffs)
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.0, max_value=2.0, allow_nan=False))
@@ -203,17 +213,24 @@ class TestInvariants:
 
     def test_nyquist_always_zero(self):
         c = np.ones(16, dtype=np.complex128)
+        with pytest.raises(ConfigurationError, match="FFT layout"):
+            sp.SpectrumField(c)
+        c[8] = 0.0
         f = sp.SpectrumField(c)
-        assert f.coeffs[8] == 0.0
+        assert f.coeffs.shape == (8,)
+        for g in (f, -f, sp.dx(f), f - f, f * -1.0):
+            full = sp.hermitian_fill(g.coeffs)
+            assert full[8] == 0.0 and not np.signbit(full[8].real)
 
     def test_arithmetic_adopts_fresh_arrays_constructors_copy(self):
         c = np.ones(16, dtype=np.complex128)
+        c[8] = 0.0
         f = sp.SpectrumField(c)
-        c[1] = 5.0
-        assert f.coeffs[1] == 1.0 and f.coeffs[8] == 0.0 and c[8] == 1.0
+        c[1] = c[-1] = 5.0
+        assert f.coeffs[1] == 1.0
         for g in (-f, sp.dx(f), f - f, f * -1.0):
             assert g.coeffs is not f.coeffs and g.coeffs.flags.writeable
-            assert g.coeffs[8] == 0.0 and not np.signbit(g.coeffs[8].real)
+            assert g.coeffs.shape == (8,)
         grid = geo.StripGrid(8, n_depth=8)
         s = geo.StripField(grid, np.ones((4, 8), dtype=np.complex128))
         fresh = s.coeffs * 2.0
@@ -233,7 +250,7 @@ class TestHalfBand:
     def test_values_stack_matches_full_ifft(self, n_modes, m):
         fields = [random_real_field(s, n_modes, n_modes // 2 - 1) for s in (1, 2, 3)]
         out = sp.values_stack(fields, m)
-        c = np.array([f.coeffs for f in fields])
+        c = np.array([sp.hermitian_fill(f.coeffs) for f in fields])
         ref = np.real(np.fft.ifft(full_pad(c, m), axis=-1) * m)
         assert out.shape == (3, m)
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -246,16 +263,43 @@ class TestHalfBand:
         out = sp.project(samples, sp.zero_field(n_modes))
         ref = full_truncate(np.fft.fft(samples) / m, n_modes)
         assert isinstance(out, sp.SpectrumField)
-        assert np.max(np.abs(out.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
-        assert hermitian_defect(out) == 0.0
-        assert out.coeffs[n_modes // 2] == 0.0
+        assert out.coeffs.shape == (n_modes // 2,) and out.coeffs[0].imag == 0.0
+        full = sp.hermitian_fill(out.coeffs)
+        assert np.max(np.abs(full - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_hermitian_fill_layout(self):
-        half = np.array([1.0, 2 + 1j, 3 - 2j, 4j, 99.0])   # entries past N/2 ignored
-        full = sp.hermitian_fill(half, 8)
+        half = np.array([1.0, 2 + 1j, 3 - 2j, 4j])
+        full = sp.hermitian_fill(half)
         assert np.array_equal(full, [1.0, 2 + 1j, 3 - 2j, 4j, 0.0, -4j, 3 + 2j, 2 - 1j])
-        columns = sp.hermitian_fill(np.array([half[:4], 2 * half[:4]]).T, 8)
+        columns = sp.hermitian_fill(np.array([half, 2 * half]).T)
         assert np.array_equal(columns.T, [full, 2 * full])
+
+
+class TestLayout:
+    """SpectrumField(full) keeps the modes 0..N/2−1 of an FFT-layout input
+    and rejects any other input."""
+
+    @pytest.mark.parametrize("n_modes,max_mode", [(8, 3), (32, 10), (64, 31)])
+    def test_fill_restores_constructor_input(self, n_modes, max_mode):
+        for c in (random_layout(n_modes + max_mode, n_modes, max_mode),
+                  sp.hermitian_fill(sp.cosine(max_mode, 0.7, n_modes, 0.4).coeffs)):
+            f = sp.SpectrumField(c)
+            assert f.coeffs.shape == (n_modes // 2,) and f.n_modes == n_modes
+            assert np.array_equal(sp.hermitian_fill(f.coeffs), c)
+
+    def test_half_length_array_rejected(self):
+        f = random_real_field(5, n_modes=32, max_mode=10)
+        with pytest.raises(ConfigurationError, match="FFT layout"):
+            sp.SpectrumField(f.coeffs)
+
+    def test_non_hermitian_array_rejected(self):
+        c = random_layout(6, n_modes=32, max_mode=10)
+        c[-3] *= 1.0 + 1e-9                     # v̂(−3) no longer conj v̂(3)
+        with pytest.raises(ConfigurationError, match="FFT layout"):
+            sp.SpectrumField(c)
+        c = random_layout(6, n_modes=32, max_mode=10)
+        c[-3] += 1e-13 * np.max(np.abs(c))      # round-off is accepted
+        assert np.array_equal(sp.SpectrumField(c).coeffs, c[:16])
 
 
 class TestPointwiseApply:
