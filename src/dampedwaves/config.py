@@ -20,12 +20,11 @@ _SCHEMA: dict[str, dict[str, type]] = {
     "grid": {"n_modes": int, "depth": float, "n_depth": int},
     "time": {"dt": float, "t_final": float},
     "initial": {"preset": str, "amplitude": float, "h_modes": str, "xi_modes": str},
-    "numerics": {"picard_tol": str, "picard_max_iter": int, "margin_min": float,
-                 "linear_only": bool},
+    "numerics": {"picard_tol": str, "picard_max_iter": int, "margin_min": float},
     "output": {"directory": str, "record_every": int, "snapshot_every": int},
 }
 
-PRESETS = ("zero", "small_two_mode", "moderate_mix", "explicit")
+PRESETS = ("zero", "small_two_mode", "explicit")
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,6 @@ class RunConfig:
     picard_tol: float | None = None       # None: StepOptions.for_dt(dt)
     picard_max_iter: int = 25
     margin_min: float = 0.1
-    linear_only: bool = False
     directory: str = "out"
     record_every: int = 10
     snapshot_every: int = 0               # 0: first and last record only
@@ -78,8 +76,7 @@ class RunConfig:
 
     @property
     def step_options(self) -> StepOptions:
-        kw = dict(picard_max_iter=self.picard_max_iter, margin_min=self.margin_min,
-                  linear_only=self.linear_only)
+        kw = dict(picard_max_iter=self.picard_max_iter, margin_min=self.margin_min)
         if self.picard_tol is None:
             return StepOptions.for_dt(self.dt, **kw)
         return StepOptions(picard_tol=self.picard_tol, **kw)
@@ -110,13 +107,6 @@ def _parse_mode_list(text: str, line: int) -> tuple[tuple[int, float, float], ..
 
 def _coerce(raw: str, typ: type, where: str, line: int):
     try:
-        if typ is bool:
-            low = raw.lower()
-            if low in ("true", "yes", "on", "1"):
-                return True
-            if low in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
         value = typ(raw)
     except ValueError as exc:
         raise ConfigurationError(
@@ -218,7 +208,6 @@ def config_to_text(cfg: RunConfig) -> str:
         f"picard_tol = {tol}",
         f"picard_max_iter = {cfg.picard_max_iter}",
         f"margin_min = {cfg.margin_min!r}",
-        f"linear_only = {str(cfg.linear_only).lower()}",
         "[output]",
         f"directory = {cfg.directory}",
         f"record_every = {cfg.record_every}",
@@ -233,7 +222,7 @@ def config_to_text(cfg: RunConfig) -> str:
 def initial_data(cfg: RunConfig) -> tuple[SpectrumField, SpectrumField]:
     """Build (h₀, ξ₀) for the configured preset.
 
-    For the small presets `amplitude` is the target |h₀|₁ + |ξ₀|₁; h₀ is
+    For small_two_mode `amplitude` is the target |h₀|₁ + |ξ₀|₁; h₀ is
     always zero mean.
     """
     n = cfg.n_modes
@@ -244,12 +233,6 @@ def initial_data(cfg: RunConfig) -> tuple[SpectrumField, SpectrumField]:
         a = cfg.amplitude / 7.0     # |cos|₁ + |c₂ cos 2x|₁ summed over h and ξ
         h0 = cosine(1, a, n) + cosine(2, 0.5 * a, n)
         xi0 = sine(1, a, n) + sine(2, 0.5 * a, n)
-        return h0, xi0
-    if cfg.preset == "moderate_mix":
-        # mode-3-weighted data: O(1) H³ energy at small amplitude
-        a = cfg.amplitude
-        h0 = cosine(1, 0.8 * a, n) + cosine(3, a, n)
-        xi0 = sine(1, 0.8 * a, n) + sine(3, a, n)
         return h0, xi0
     if cfg.preset == "explicit":
         h0 = zero_field(n)

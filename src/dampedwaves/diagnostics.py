@@ -1,7 +1,7 @@
 """Monitored quantities along trajectories: energies, radii, decay rates.
 
-Time-weighted Wiener norms |·|_{1,μt} apply a relative noise floor (default
-1e−13·max|f̂|) before summing: the analytic weights e^{μt|n|} reach e^{60+}
+Time-weighted Wiener norms |·|_{1,μt} apply a relative noise floor
+(1e−13·max|f̂|) before summing: the analytic weights e^{μt|n|} reach e^{60+}
 by the end of a run and would otherwise amplify round-off at modes whose true
 content decayed like e^{−αn²t} long ago.  The same floor governs the
 analyticity-radius fits.
@@ -20,24 +20,24 @@ import numpy as np
 from .elliptic import gradient_norm, solve_phi1, solve_phi2
 from .errors import ConfigurationError
 from .evolution import ModelParams, SimState, StepOptions, Trajectory
-from .geometry import StripGrid, build_geometry, zero_strip
+from .geometry import StripGrid, build_geometry
 from .norms import InequalityReport, sobolev_norm
 from .spectral import SpectrumField, lam, mode_multiplicity, mollify
 
 DEFAULT_NOISE_FLOOR = 1e-13
+BUDGET_REL_SLACK = 5e-2      # ξ budget: finite-difference-in-time allowance
 RADIUS_MIN_POINTS = 2        # fewer fitted modes leave the radius undefined
 RADIUS_TAPER_DECADES = 2.0   # fit weights fade out over this range above the floor
 _EXP_CAP = 700.0  # overflow guard for e^{μt|n|}
 
 
-def floored_wiener(f: SpectrumField, s: float, lam_t: float,
-                   floor_rel: float = DEFAULT_NOISE_FLOOR) -> float:
+def floored_wiener(f: SpectrumField, s: float, lam_t: float) -> float:
     """|f|_{s,λ} over modes with |f̂| above the relative noise floor."""
     a = np.abs(f.coeffs)
     scale = a.max(initial=0.0)
     if scale == 0.0:
         return 0.0
-    keep = a > floor_rel * scale
+    keep = a > DEFAULT_NOISE_FLOOR * scale
     n = f.modes[keep].astype(float)
     expo = np.minimum(lam_t * n, _EXP_CAP)
     return float(np.sum(mode_multiplicity(f.n_modes)[keep] * (1.0 + n) ** s
@@ -164,41 +164,32 @@ class DiagRecord:
 
 
 def bulk_gradient_norm(state: SimState, params: ModelParams, grid: StripGrid,
-                       opts: StepOptions = StepOptions(),
-                       s: float = 2.5) -> float:
+                       opts: StepOptions) -> float:
     """elliptic.gradient_norm of the potential at one state, solved afresh.
 
-    The geometry and Picard problem are the stepper's (εh^κ, ξ^κ, opts); with
-    opts.linear_only the potential is φ₁ = e^{x₂Λ}ξ^κ on the flat strip.
+    The geometry and Picard problem are the stepper's (εh^κ, ξ^κ, opts); at
+    ε = 0 the strip is flat and the solve takes one sweep.
     """
     phi1 = solve_phi1(mollify(state.xi, params.kappa), grid)
-    if opts.linear_only:
-        zero = zero_strip(grid)
-        return gradient_norm(phi1, zero, zero, s)
     bundle = build_geometry(params.epsilon * mollify(state.h, params.kappa), grid,
                             margin_min=opts.margin_min)
     esol = solve_phi2(bundle, phi1, tol=opts.picard_tol,
                       max_iter=opts.picard_max_iter)
-    return gradient_norm(phi1, esol.phi2, esol.dzphi2, s)
+    return gradient_norm(phi1, esol.phi2, esol.dzphi2)
 
 
-def compute_records(traj: Trajectory,
-                    floor_rel: float = DEFAULT_NOISE_FLOOR,
-                    opts: StepOptions | None = None) -> list[DiagRecord]:
+def compute_records(traj: Trajectory) -> list[DiagRecord]:
     """Diagnostics at every recorded state.
 
-    opts default to the trajectory's own.  Under those options the bulk
-    term reuses the value the stepper took from its own elliptic solve at
-    each state (traj.bulk), so only the states no step solved are solved
-    here: the final state and those of hand-built trajectories.
+    The bulk term reuses the value the stepper took from its own elliptic
+    solve at each state (traj.bulk), so only the states no step solved are
+    solved here, under the run's options: the final state, every state at
+    ε = 0 and those of hand-built trajectories.
     """
     params = traj.params
     if params.mu > 0 and params.mu >= params.alpha / 2.0:
         raise ConfigurationError(
             f"analyticity diagnostics need mu < alpha/2 (mu={params.mu}, alpha={params.alpha})")
-    if opts is None:
-        opts = traj.step_options
-    reused = traj.bulk if opts == traj.step_options else ()
     times = traj.times
     if np.any(np.diff(times) <= 0):
         raise ConfigurationError("trajectory records are not strictly increasing in time")
@@ -212,19 +203,16 @@ def compute_records(traj: Trajectory,
         sh = sobolev_norm(state.h, 3.0)
         sx = sobolev_norm(state.xi, 3.0)
         boundary_max = max(boundary_max, sh ** 2 + sx ** 2)
-        bulk = reused[i] if i < len(reused) else None
+        bulk = traj.bulk[i] if i < len(traj.bulk) else None
         if bulk is None:
-            bulk = bulk_gradient_norm(state, params, traj.grid, opts)
+            bulk = bulk_gradient_norm(state, params, traj.grid, traj.opts)
         if prev_t is not None:
             bulk_integral += 0.5 * (bulk + prev_bulk) * (state.t - prev_t)
         prev_t, prev_bulk = state.t, bulk
         lam_t = params.mu * state.t
-        wh = floored_wiener(state.h, 1.0, lam_t, floor_rel)
-        wx = floored_wiener(state.xi, 1.0, lam_t, floor_rel)
-        env = envelope_spectrum(state.h, state.xi)
-        env_scale = float(np.max(np.abs(env.coeffs), initial=0.0))
-        fit = analyticity_radius(env, noise_floor=floor_rel * env_scale
-                                 if env_scale > 0 else None)
+        wh = floored_wiener(state.h, 1.0, lam_t)
+        wx = floored_wiener(state.xi, 1.0, lam_t)
+        fit = analyticity_radius(envelope_spectrum(state.h, state.xi))
         records.append(DiagRecord(
             t=state.t, sobolev_h3=sh, sobolev_xi3=sx,
             wiener_h=wh, wiener_xi=wx,
@@ -236,15 +224,14 @@ def compute_records(traj: Trajectory,
 # ---------------------------------------------------------------------------
 # structural checks along runs
 
-def check_xi_energy_budget(traj: Trajectory, floor_rel: float = DEFAULT_NOISE_FLOOR,
-                           rel_slack: float = 5e-2) -> InequalityReport:
+def check_xi_energy_budget(traj: Trajectory) -> InequalityReport:
     """Discrete check of the ξ energy-estimate structure.
 
     For consecutive records, the centered difference of |ξ|_{1,μt} must not
     exceed −(α−μ)|Λ²ξ|_{1,μt} + |h|_{1,μt} + |NL|_{1,μt}, where NL is the
     nonlinear remainder ξ_t − (−h + αξ,₁₁) the stepper applied at the record
-    (traj.xi_remainder, zero in a linear_only run), so nothing is solved
-    here.  The comparison carries a relative slack for the
+    (traj.xi_remainder, zero at ε = 0), so nothing is solved here.  The
+    comparison carries the relative slack BUDGET_REL_SLACK for the
     finite-difference-in-time error.  Raises ConfigurationError for fewer
     than three records or an interior record without a remainder, as in a
     hand-built trajectory.
@@ -262,18 +249,17 @@ def check_xi_energy_budget(traj: Trajectory, floor_rel: float = DEFAULT_NOISE_FL
                 f"record {i} has no xi remainder from the stepper")
         sm, s0, sp = states[i - 1], states[i], states[i + 1]
         lam_t = params.mu * s0.t
-        dxi = (floored_wiener(sp.xi, 1.0, params.mu * sp.t, floor_rel) -
-               floored_wiener(sm.xi, 1.0, params.mu * sm.t, floor_rel)) / (sp.t - sm.t)
-        rhs = (-(params.alpha - params.mu) *
-               floored_wiener(lam(s0.xi, 2.0), 1.0, lam_t, floor_rel)
-               + floored_wiener(s0.h, 1.0, lam_t, floor_rel)
-               + floored_wiener(remainders[i], 1.0, lam_t, floor_rel))
-        slack = rel_slack * max(abs(dxi), abs(rhs), 1e-14)
+        dxi = (floored_wiener(sp.xi, 1.0, params.mu * sp.t) -
+               floored_wiener(sm.xi, 1.0, params.mu * sm.t)) / (sp.t - sm.t)
+        rhs = (-(params.alpha - params.mu) * floored_wiener(lam(s0.xi, 2.0), 1.0, lam_t)
+               + floored_wiener(s0.h, 1.0, lam_t)
+               + floored_wiener(remainders[i], 1.0, lam_t))
+        slack = BUDGET_REL_SLACK * max(abs(dxi), abs(rhs), 1e-14)
         if worst is None or dxi - rhs > worst[0] - worst[1]:
             worst = (dxi, rhs + slack)
         if dxi > rhs + slack:
             holds = False
-    return InequalityReport(lhs=worst[0], rhs=worst[1], constant_used=rel_slack,
+    return InequalityReport(lhs=worst[0], rhs=worst[1], constant_used=BUDGET_REL_SLACK,
                             holds=holds, margin=worst[1] - worst[0])
 
 

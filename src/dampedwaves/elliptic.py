@@ -399,9 +399,8 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
                             increments=tuple(increments), mixed_from=mixed_from)
 
 
-def gradient_norm(phi1: StripField, phi2: StripField, dzphi2: StripField,
-                  s: float = 2.5) -> float:
-    """Proxy for ‖∇φ‖_s², φ = φ₁ + φ₂: Σ_n (1+|n|)^{2s} ∫ (|∂₁φ̂|² + |∂₂φ̂|²) dx₂.
+def gradient_norm(phi1: StripField, phi2: StripField, dzphi2: StripField) -> float:
+    """Proxy for ‖∇φ‖²_{5/2}, φ = φ₁ + φ₂: Σ_n (1+|n|)⁵ ∫ (|∂₁φ̂|² + |∂₂φ̂|²) dx₂.
 
     Fractional regularity is charged entirely to the horizontal multiplier
     (equivalent norm for the harmonic-type fields at hand); quadrature is
@@ -414,7 +413,7 @@ def gradient_norm(phi1: StripField, phi2: StripField, dzphi2: StripField,
     per_mode = np.trapezoid(dens, dx=grid.dz, axis=1)
     n = grid.modes.astype(float)
     per_mode = per_mode + dens[:, 0] / (2.0 * np.maximum(n, 1.0))
-    w = mode_multiplicity(grid.n_modes) * (1.0 + n) ** (2.0 * s)
+    w = mode_multiplicity(grid.n_modes) * (1.0 + n) ** 5.0
     return float(np.sum(w * per_mode))
 
 

@@ -24,7 +24,8 @@ per-mode exponential of the stiff linear system
     d/dt (ξ̂, ĥ) = M(n)(ξ̂, ĥ),   M(n) = [[−αn², −1], [|n|, −αn²]]
 
 (κ-adjusted when mollified) propagates the linear part, the nonlinear
-remainder is advanced explicitly at second order.
+remainder is advanced explicitly at second order.  At ε = 0 the remainder
+vanishes and a step is the propagator alone.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class StepOptions:
     picard_tol: float = 1e-10
     picard_max_iter: int = 25
     margin_min: float = 0.1
-    linear_only: bool = False
 
     @staticmethod
     def for_dt(dt: float, **kw) -> "StepOptions":
@@ -178,7 +178,7 @@ def _step_tables(n_modes: int, alpha: float, dt: float, kappa: float):
 class StepInfo:
     mean_drift: float
     picard_iters: int
-    bulk_gradient: float | None = None   # gradient_norm at the input state
+    bulk_gradient: float | None = None   # gradient_norm at the input state (ε > 0)
     xi_remainder: SpectrumField | None = None   # ξ row of N(u⁰) at the input state
     mixed_solves: int = 0                # solves that switched to Anderson mixing
     phi2: tuple[StripField, StripField] | None = None   # first-stage (φ₂, ∂₂φ₂)
@@ -210,12 +210,13 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
          ) -> tuple[SimState, StepInfo]:
     """One Lawson–Heun step: u¹ = P u⁰ + (dt/2)(P N(u⁰) + N(P(u⁰ + dt N(u⁰)))).
 
-    Exact (to round-off) for the pure linear system; the interface mean is
+    At ε = 0 the system is linear, N = 0, and the step is the exact
+    propagator u¹ = P u⁰ with no elliptic solve.  The interface mean is
     re-projected to zero afterwards, recording the drift removed.  With
     record set, the info carries gradient_norm of the elliptic solution the
-    step made at the input state (None when linear_only solves none) and
-    the ξ row of the nonlinear remainder N(u⁰) = ∂ₜu⁰ − M·u⁰ the step
-    applied (zero when linear_only).
+    step made at the input state (None at ε = 0, which solves none) and the
+    ξ row of the nonlinear remainder N(u⁰) = ∂ₜu⁰ − M·u⁰ the step applied
+    (zero at ε = 0).
 
     The first-stage φ₂ solve at u⁰ starts from zero, so it is the solve
     any other caller makes at that state; info.phi2 is its (φ₂, ∂₂φ₂).  The
@@ -235,7 +236,7 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
     remainder = None
     phi2 = None
 
-    if opts.linear_only:
+    if params.epsilon == 0.0:
         u1 = _apply(p, u0)
         if record:
             remainder = zero_field(state.n_modes)
@@ -276,12 +277,12 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
 class Trajectory:
     """Recorded states of a run and what the run knew about them.
 
-    opts are the step options the run used (None: StepOptions.for_dt(dt)).
-    bulk holds, per recorded state, the elliptic gradient_norm the stepper
-    took from its own solve at that state, or None where no step solved it
-    (the final state, linear_only runs); xi_remainder holds the step's
-    StepInfo.xi_remainder there, or None at the final state.  Both are empty
-    for hand-built trajectories.
+    opts are the step options the run used.  bulk holds, per recorded
+    state, the elliptic gradient_norm the stepper took from its own solve at
+    that state, or None where no step solved it (the final state, every
+    state at ε = 0); xi_remainder holds the step's StepInfo.xi_remainder
+    there, or None at the final state.  Both are empty for hand-built
+    trajectories.
     """
 
     states: tuple[SimState, ...]
@@ -291,7 +292,7 @@ class Trajectory:
     record_every: int
     max_mean_drift: float
     max_picard_iters: int
-    opts: StepOptions | None = None
+    opts: StepOptions
     bulk: tuple[float | None, ...] = ()
     xi_remainder: tuple[SpectrumField | None, ...] = ()
     mixed_solves: int = 0      # the stepper's solves that switched to mixing
@@ -299,10 +300,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.states])
-
-    @property
-    def step_options(self) -> StepOptions:
-        return self.opts if self.opts is not None else StepOptions.for_dt(self.dt)
 
 
 def run(h0: SpectrumField, xi0: SpectrumField, params: ModelParams,

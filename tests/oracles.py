@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from dampedwaves import evolution as ev
-from dampedwaves.diagnostics import DEFAULT_NOISE_FLOOR, floored_wiener
+from dampedwaves.diagnostics import BUDGET_REL_SLACK, floored_wiener
 from dampedwaves.errors import ConfigurationError
 from dampedwaves.geometry import StripGrid, harmonic_extension
 from dampedwaves.norms import (DEFAULT_SLACK, QUADRATURE_SLACK, InequalityReport,
@@ -105,15 +105,10 @@ def check_extension_chain(xi: SpectrumField, grid: StripGrid, r: float, s: float
     return InequalityReport.compare(lhs, rhs, 1.0, slack)
 
 
-def resolved_xi_energy_budget(traj: ev.Trajectory,
-                              floor_rel: float = DEFAULT_NOISE_FLOOR,
-                              rel_slack: float = 5e-2,
-                              opts: ev.StepOptions | None = None) -> InequalityReport:
+def resolved_xi_energy_budget(traj: ev.Trajectory) -> InequalityReport:
     """diagnostics.check_xi_energy_budget with each interior record's
-    remainder ξ_t − (M·u)_ξ re-solved by evaluate_rhs under opts (default:
-    the run's), or zero under linear_only, where the run applies none."""
-    if opts is None:
-        opts = traj.step_options
+    remainder ξ_t − (M·u)_ξ re-solved by evaluate_rhs under the run's
+    options, or zero at ε = 0, where the run applies none."""
     params = traj.params
     states = traj.states
     if len(states) < 3:
@@ -124,22 +119,21 @@ def resolved_xi_energy_budget(traj: ev.Trajectory,
     for i in range(1, len(states) - 1):
         sm, s0, sp = states[i - 1], states[i], states[i + 1]
         lam_t = params.mu * s0.t
-        dxi = (floored_wiener(sp.xi, 1.0, params.mu * sp.t, floor_rel) -
-               floored_wiener(sm.xi, 1.0, params.mu * sm.t, floor_rel)) / (sp.t - sm.t)
-        if opts.linear_only:
+        dxi = (floored_wiener(sp.xi, 1.0, params.mu * sp.t) -
+               floored_wiener(sm.xi, 1.0, params.mu * sm.t)) / (sp.t - sm.t)
+        if params.epsilon == 0.0:
             nl = np.zeros_like(s0.xi.coeffs)
         else:
-            r = ev.evaluate_rhs(s0, params, traj.grid, opts)
+            r = ev.evaluate_rhs(s0, params, traj.grid, traj.opts)
             u = np.stack([s0.xi.coeffs, s0.h.coeffs])
             nl = r.xi_t.coeffs - linear_rhs(u, modes, params.alpha, params.kappa)[0]
-        rhs = (-(params.alpha - params.mu) *
-               floored_wiener(lam(s0.xi, 2.0), 1.0, lam_t, floor_rel)
-               + floored_wiener(s0.h, 1.0, lam_t, floor_rel)
-               + floored_wiener(SpectrumField(hermitian_fill(nl)), 1.0, lam_t, floor_rel))
-        slack = rel_slack * max(abs(dxi), abs(rhs), 1e-14)
+        rhs = (-(params.alpha - params.mu) * floored_wiener(lam(s0.xi, 2.0), 1.0, lam_t)
+               + floored_wiener(s0.h, 1.0, lam_t)
+               + floored_wiener(SpectrumField(hermitian_fill(nl)), 1.0, lam_t))
+        slack = BUDGET_REL_SLACK * max(abs(dxi), abs(rhs), 1e-14)
         if worst is None or dxi - rhs > worst[0] - worst[1]:
             worst = (dxi, rhs + slack)
         if dxi > rhs + slack:
             holds = False
-    return InequalityReport(lhs=worst[0], rhs=worst[1], constant_used=rel_slack,
+    return InequalityReport(lhs=worst[0], rhs=worst[1], constant_used=BUDGET_REL_SLACK,
                             holds=holds, margin=worst[1] - worst[0])

@@ -12,15 +12,14 @@ from dampedwaves.errors import ConfigurationError, DiffeomorphismError
 from oracles import check_A_deviation, coeff, resolved_xi_energy_budget
 
 
-def decay_fixture_run(record_every: int, opts: ev.StepOptions | None = None):
+def decay_fixture_run(record_every: int, epsilon: float = 1.0):
     """The decay run's data (small_two_mode, |h₀|₁ + |ξ₀|₁ = 0.01) on 32 × 129."""
     grid = geo.StripGrid(32, depth=8.0, n_depth=129)
-    params = ev.ModelParams(alpha=3.0, epsilon=1.0, mu=1.0)
+    params = ev.ModelParams(alpha=3.0, epsilon=epsilon, mu=1.0)
     a = 0.01 / 7.0
     h0 = sp.cosine(1, a, 32) + sp.cosine(2, 0.5 * a, 32)
     xi0 = sp.sine(1, a, 32) + sp.sine(2, 0.5 * a, 32)
-    return ev.run(h0, xi0, params, grid, 2e-3, 0.4, record_every=record_every,
-                  opts=opts)
+    return ev.run(h0, xi0, params, grid, 2e-3, 0.4, record_every=record_every)
 
 
 def synthetic_exponential_spectrum(rho, n_modes=64, max_mode=20):
@@ -88,10 +87,9 @@ class TestDecayRate:
     def test_linear_single_mode_run(self):
         """k=1, α=3 linear run: fitted δ̂ → αk² = 3 within 2%."""
         grid = geo.StripGrid(16, depth=8.0, n_depth=65)
-        params = ev.ModelParams(alpha=3.0, mu=0.0)
+        params = ev.ModelParams(alpha=3.0, epsilon=0.0, mu=0.0)
         traj = ev.run(sp.cosine(1, 1e-3, 16), sp.sine(1, 1e-3, 16), params, grid,
-                      2e-3, 2.0 * np.pi, record_every=5,
-                      opts=ev.StepOptions(linear_only=True))
+                      2e-3, 2.0 * np.pi, record_every=5)
         recs = dg.compute_records(traj)
         t = np.array([r.t for r in recs])
         lyap = np.array([r.lyapunov for r in recs])
@@ -171,7 +169,8 @@ class TestEnergyAndRecords:
         xi = sp.sine(1, 0.01, 16)
         states = tuple(ev.SimState(h=h, xi=xi, t=float(t)) for t in (0.0, 0.5, 1.0))
         traj = ev.Trajectory(states=states, params=params, grid=grid, dt=0.5,
-                             record_every=1, max_mean_drift=0.0, max_picard_iters=1)
+                             record_every=1, max_mean_drift=0.0, max_picard_iters=1,
+                             opts=ev.StepOptions())
         recs = dg.compute_records(traj)
         b0 = recs[0].energy
         gain1 = recs[1].energy - b0
@@ -189,14 +188,17 @@ class TestXiBudget:
         assert dg.check_xi_energy_budget(traj) == resolved_xi_energy_budget(traj)
 
     def test_linear_only_remainder_is_zero(self):
-        traj = decay_fixture_run(20, ev.StepOptions(linear_only=True))
+        # ε = 0: the linear system, whose steps apply no remainder
+        traj = decay_fixture_run(20, epsilon=0.0)
         assert traj.xi_remainder[-1] is None
         assert all(isinstance(r, sp.SpectrumField) and np.all(r.coeffs == 0.0)
                    for r in traj.xi_remainder[:-1])
         rep = dg.check_xi_energy_budget(traj)
         assert rep == resolved_xi_energy_budget(traj)
-        # the nonlinear remainder, which this run never applied, is not zero
-        assert rep != resolved_xi_energy_budget(traj, opts=ev.StepOptions())
+        # the remainder at ε = 1, which this run never applied, is not zero
+        steep = dataclasses.replace(traj, params=dataclasses.replace(traj.params,
+                                                                     epsilon=1.0))
+        assert rep != resolved_xi_energy_budget(steep)
 
     def test_hand_built_trajectory_rejected(self):
         grid = geo.StripGrid(16, depth=8.0, n_depth=65)
@@ -204,7 +206,7 @@ class TestXiBudget:
         states = tuple(dataclasses.replace(st, t=t) for t in (0.0, 0.1, 0.2))
         traj = ev.Trajectory(states=states, params=ev.ModelParams(alpha=3.0, mu=1.0),
                              grid=grid, dt=0.1, record_every=1, max_mean_drift=0.0,
-                             max_picard_iters=1)
+                             max_picard_iters=1, opts=ev.StepOptions())
         with pytest.raises(ConfigurationError, match="record 1 has no xi remainder"):
             dg.check_xi_energy_budget(traj)
         with pytest.raises(ConfigurationError, match="at least three records"):
@@ -253,15 +255,17 @@ class TestRecordSolves:
         reused = dg.compute_records(traj)
         resolved = dg.compute_records(dataclasses.replace(traj, bulk=()))
         assert [r.energy for r in reused] == [r.energy for r in resolved]
-        opts = traj.step_options
         for state, b in zip(traj.states, traj.bulk[:-1]):
-            assert b == dg.bulk_gradient_norm(state, self.params, self.grid, opts)
+            assert b == dg.bulk_gradient_norm(state, self.params, self.grid, traj.opts)
 
-    def test_other_options_resolve_every_state(self, monkeypatch):
-        traj = ev.run(self.h0, self.xi0, self.params, self.grid, 1e-2, 0.03,
-                      record_every=1)
+    def test_epsilon_zero_run_solves_nothing(self, monkeypatch):
+        # ε = 0 steps by the exact propagator; the records solve every state
+        params = dataclasses.replace(self.params, epsilon=0.0)
         calls = self.counted_solves(monkeypatch)
-        dg.compute_records(traj, opts=ev.StepOptions(picard_tol=1e-12))
+        traj = ev.run(self.h0, self.xi0, params, self.grid, 1e-2, 0.05, record_every=2)
+        assert calls == []
+        assert all(b is None for b in traj.bulk)
+        dg.compute_records(traj)
         assert len(calls) == len(traj.states)
 
     def test_records_honour_run_margin(self):
@@ -273,24 +277,21 @@ class TestRecordSolves:
                              max_picard_iters=1, opts=ev.StepOptions(margin_min=0.7))
         with pytest.raises(DiffeomorphismError, match="margin_min = 0.7"):
             dg.compute_records(traj)
-        assert len(dg.compute_records(traj, opts=ev.StepOptions())) == 2
+        default = dataclasses.replace(traj, opts=ev.StepOptions())
+        assert len(dg.compute_records(default)) == 2
 
-    def test_linear_only_records_flat_strip(self, monkeypatch):
-        opts = ev.StepOptions(linear_only=True)
-        traj = ev.run(sp.cosine(1, 0.5, 16), sp.zero_field(16), self.params,
-                      self.grid, 1e-2, 0.05, record_every=1, opts=opts)
-
-        def unexpected(*args, **kwargs):
-            raise AssertionError("linear_only records solved a nonlinear problem")
-        for name in ("build_geometry", "solve_phi2"):
-            monkeypatch.setattr(dg, name, unexpected)
+    def test_linear_only_records_flat_strip(self):
+        # at ε = 0 the records solve the flat strip: φ₂ = 0, bit for bit
+        params = dataclasses.replace(self.params, epsilon=0.0)
+        traj = ev.run(sp.cosine(1, 0.5, 16), sp.zero_field(16), params,
+                      self.grid, 1e-2, 0.05, record_every=1)
         recs = dg.compute_records(traj)
-        st = traj.states[-1]
-        phi1 = geo.harmonic_extension(st.xi, self.grid)
         zero = geo.zero_strip(self.grid)
-        assert dg.bulk_gradient_norm(st, self.params, self.grid, opts) == \
-            el.gradient_norm(phi1, zero, zero)
-        assert np.all(np.isfinite([r.energy for r in recs]))
+        for st in traj.states:
+            phi1 = geo.harmonic_extension(st.xi, self.grid)
+            assert dg.bulk_gradient_norm(st, params, self.grid, traj.opts) == \
+                el.gradient_norm(phi1, zero, zero)
+        assert recs[-1].energy > 0.0 and np.all(np.isfinite([r.energy for r in recs]))
 
 
 class TestSmallnessMonitor:
@@ -308,7 +309,8 @@ class TestSmallnessMonitor:
         st = ev.SimState(h=sp.cosine(1, 1e-3, 16), xi=sp.zero_field(16), t=0.0)
         st2 = ev.SimState(h=st.h, xi=st.xi, t=0.1)
         traj = ev.Trajectory(states=(st, st2), params=params, grid=grid, dt=0.1,
-                             record_every=1, max_mean_drift=0.0, max_picard_iters=1)
+                             record_every=1, max_mean_drift=0.0, max_picard_iters=1,
+                             opts=ev.StepOptions())
         with pytest.raises(ConfigurationError, match="mu < alpha/2"):
             dg.compute_records(traj)
 

@@ -64,8 +64,7 @@ class TestPropagator:
     def test_rejects_bad_dt(self):
         st = ev.SimState(h=sp.cosine(1, 0.1, 16), xi=sp.zero_field(16), t=0.0)
         with pytest.raises(ConfigurationError):
-            ev.step(st, ev.ModelParams(alpha=1.0), small_grid(16, 64), 0.0,
-                    ev.StepOptions(linear_only=True))
+            ev.step(st, ev.ModelParams(alpha=1.0, epsilon=0.0), small_grid(16, 64), 0.0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7])
     @pytest.mark.parametrize("alpha", [0.0, 3.0])
@@ -164,13 +163,44 @@ class TestRhs:
 
 class TestStep:
     def test_linear_only_matches_propagator(self):
+        # ε = 0: the linear system
         grid = small_grid()
         st = ev.SimState(h=sp.cosine(2, 0.1, 32), xi=sp.sine(1, 0.2, 32), t=0.0)
-        out, _ = ev.step(st, ev.ModelParams(alpha=3.0), grid, 1e-2,
-                         ev.StepOptions(linear_only=True))
+        out, _ = ev.step(st, ev.ModelParams(alpha=3.0, epsilon=0.0), grid, 1e-2)
         ref = linear_reference(st, 3.0, 1e-2, sp.stored_modes(32))
         assert np.max(np.abs(out.xi.coeffs - ref[0])) < 1e-12
         assert np.max(np.abs(out.h.coeffs - ref[1])) < 1e-12
+
+    def test_epsilon_zero_step_is_the_lawson_heun_step(self, monkeypatch):
+        # the ε = 0 step skips the remainder N = ∂ₜu − M·u, which is
+        # round-off there; assembled from evaluate_rhs it is the same step
+        grid = small_grid(32, 64)
+        params = ev.ModelParams(alpha=3.0, epsilon=0.0)
+        st = ev.SimState(h=sp.cosine(2, 0.1, 32) + sp.cosine(5, 0.03, 32),
+                         xi=sp.sine(1, 0.2, 32), t=0.0)
+        dt, modes = 1e-2, sp.stored_modes(32)
+        p11, p12, p21, p22 = ev.propagator_entries(modes, 3.0, dt)
+
+        def prop(u):
+            return np.array([p11 * u[0] + p12 * u[1], p21 * u[0] + p22 * u[1]])
+
+        def remainder(u):
+            s = ev.SimState(h=sp.SpectrumField(sp.hermitian_fill(u[1])),
+                            xi=sp.SpectrumField(sp.hermitian_fill(u[0])), t=0.0)
+            r = ev.evaluate_rhs(s, params, grid)
+            return np.array([r.xi_t.coeffs, r.h_t.coeffs]) - linear_rhs(u, modes, 3.0)
+
+        u0 = np.array([st.xi.coeffs, st.h.coeffs])
+        k1 = remainder(u0)
+        assert np.max(np.abs(k1)) < 1e-15
+        u_pred = prop(u0 + dt * k1)
+        u1 = prop(u0) + 0.5 * dt * (prop(k1) + remainder(u_pred))
+        u1[1][0] = 0.0                        # the step's mean projection
+        monkeypatch.setattr(ev, "solve_phi2", None)   # the step solves nothing
+        out, info = ev.step(st, params, grid, dt, record=True)
+        assert info.picard_iters == 0 and info.bulk_gradient is None
+        # below an ulp of the 0.2-sized coefficients
+        assert np.max(np.abs(np.array([out.xi.coeffs, out.h.coeffs]) - u1)) <= 1e-17
 
     def test_zero_state_stays_zero(self):
         grid = small_grid()
@@ -214,8 +244,8 @@ class TestStep:
         grid = small_grid(n_modes=16, n_depth=65)
         h0 = sp.cosine(1, 0.05, 16)
         xi0 = sp.sine(1, 0.07, 16)
-        traj = ev.run(h0, xi0, ev.ModelParams(alpha=3.0), grid, 1e-3, 0.5,
-                      record_every=100, opts=ev.StepOptions(linear_only=True))
+        traj = ev.run(h0, xi0, ev.ModelParams(alpha=3.0, epsilon=0.0), grid, 1e-3, 0.5,
+                      record_every=100)
         for state in traj.states:
             ref = linear_reference(traj.states[0], 3.0, state.t,
                                    sp.stored_modes(16))
@@ -295,8 +325,8 @@ class TestHermitianStability:
         grid = small_grid(n_modes=8, n_depth=48)
         h0 = sp.cosine(1, 0.01, 8)
         xi0 = sp.sine(1, 0.01, 8)
-        traj = ev.run(h0, xi0, ev.ModelParams(alpha=3.0), grid, 1e-3, 10.0,
-                      record_every=2000, opts=ev.StepOptions(linear_only=True))
+        traj = ev.run(h0, xi0, ev.ModelParams(alpha=3.0, epsilon=0.0), grid, 1e-3, 10.0,
+                      record_every=2000)
         assert traj.max_mean_drift <= 1e-10
 
     def test_nonlinear_run_mean_drift_bound(self):
