@@ -58,12 +58,11 @@ class RadiusFit:
 UNDEFINED_RADIUS = RadiusFit(rho=float("nan"), r_squared=float("nan"), n_points=0)
 
 
-def analyticity_radius(f: SpectrumField,
-                       noise_floor: float | None = None) -> RadiusFit:
+def analyticity_radius(f: SpectrumField) -> RadiusFit:
     """Fitted decay slope: ρ = −slope of log|f̂(n)| against |n|.
 
     Fits over the stored modes n >= 1 with |f̂(n)| above the noise floor
-    (default 1e−13·max|f̂|); returns the undefined sentinel when fewer than
+    DEFAULT_NOISE_FLOOR·max|f̂|; returns the undefined sentinel when fewer than
     RADIUS_MIN_POINTS modes qualify.
 
     Modes within RADIUS_TAPER_DECADES of the floor enter with a weight that
@@ -76,7 +75,7 @@ def analyticity_radius(f: SpectrumField,
     scale = a.max(initial=0.0)
     if scale == 0.0:
         return UNDEFINED_RADIUS
-    floor = noise_floor if noise_floor is not None else DEFAULT_NOISE_FLOOR * scale
+    floor = DEFAULT_NOISE_FLOOR * scale
     keep = a > floor
     keep[0] = False
     n_pts = int(np.count_nonzero(keep))

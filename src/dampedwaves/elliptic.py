@@ -26,13 +26,17 @@ integration of ∂₂g₂.
 
 Every field of a sweep is built from harmonic extensions, so mode n of the
 forcing at depth x₂ is of size e^{n·x₂} against its top value.  The sweep
-therefore forms g = −Q∇(φ₁+φ₂) in depth blocks (_depth_blocks): a block
-keeps the modes below its cap K and transforms on 3K points, and it drops
-mode n at depth x₂ only where n·|x₂| > ROUNDOFF_EXPONENT = 42, a relative
+therefore forms g = −Q∇(φ₁+φ₂) in the depth blocks in which
+geometry.build_geometry builds Q²₂ (geometry._depth_blocks): a block keeps
+the modes below its cap K and transforms on 3K points, and it drops mode n
+at depth x₂ only where n·|x₂| > geometry.ROUNDOFF_EXPONENT = 42, a relative
 size under e^{−42} ≈ 6e-19, far below one ulp of the largest entry.  The
 Poisson kernels are bounded by 1, so the dropped entries move φ₂ by no
 more than round-off; a grid whose rows all keep N/2 modes sweeps in one
-block, as before.
+block, bitwise as a full-band sweep.
+
+A solve starts from a given (φ₂, ∂₂φ₂): the stepper hands each solve the
+solution of a nearby state, so that a warm solve takes about one sweep.
 """
 
 from __future__ import annotations
@@ -45,8 +49,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, ContractionError
-from .geometry import (GeometryBundle, StripField, StripGrid, extension_profile,
-                       fd_derivative, harmonic_extension, zero_strip)
+from .geometry import (GeometryBundle, StripField, StripGrid, _depth_blocks,
+                       block_values, extension_profile, fd_derivative,
+                       harmonic_extension, zero_strip)
 from .norms import NormSpec, strip_norm
 from .spectral import (SpectrumField, _fixed_symbol, dx, dxx, lam,
                        mode_multiplicity, pad_size, project, project_stack,
@@ -82,25 +87,6 @@ def _product_trapezoid_weights(theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 SCAN_MAX_EXPONENT = 300.0   # bound on θ·(k − k₀) inside a scan block (overflow safety)
-ROUNDOFF_EXPONENT = 42.0    # the sweep drops mode n at depth z only where n·|z| exceeds
-                            # this: e^{−42} ≈ 6e-19 of the top size, under round-off
-
-
-@lru_cache(maxsize=16)
-def _depth_blocks(grid: StripGrid) -> tuple[tuple[int, int, int], ...]:
-    """Contiguous depth-row blocks (start, stop, K), bottom up, that cover
-    the rows: a block's sweep keeps the modes 0..K−1.  Each row takes the
-    smallest cap K of N/2, N/4, … (K >= 4) with K·|z| > ROUNDOFF_EXPONENT,
-    and N/2 when there is none, so every dropped (n, z) has
-    n·|z| > ROUNDOFF_EXPONENT and the caps grow towards the top."""
-    depth = -grid.z
-    cap = np.full(grid.n_depth, grid.n_modes // 2)
-    k = grid.n_modes // 4
-    while k >= 4:
-        cap[k * depth > ROUNDOFF_EXPONENT] = k
-        k //= 2
-    edges = [0, *(np.flatnonzero(np.diff(cap)) + 1).tolist(), grid.n_depth]
-    return tuple((lo, hi, int(cap[lo])) for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 @lru_cache(maxsize=16)
@@ -272,7 +258,8 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
                start: tuple[StripField, StripField] | None = None) -> EllipticSolution:
     """Fixed-point iteration φ₂ ← P(φ₂) = Poisson(−Q∇(φ₁+φ₂)) from
     start = (φ₂⁽⁰⁾, ∂₂φ₂⁽⁰⁾), zero when None.  A start near the solution
-    (a nearby state's φ₂) saves sweeps; it is only read.
+    (a nearby state's φ₂, as evolution.step gives both of its solves) saves
+    sweeps; it is only read, and another start moves the result by about tol.
 
     Plain Picard while the increments contract fast.  Once an increment
     exceeds MIX_SWITCH_RATIO times the one before, every later sweep is fed
@@ -283,8 +270,9 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     plain P(φ₂) for that sweep.  Every sweep is one poisson_divform call.
 
     The sweeps share one workspace, allocated per solve, per depth block
-    (_depth_blocks) of cap K: −Q from its modes < K on the block's rows,
-    sampled once on pad_size(2K, 2) = 3K points; one zero-padded
+    (geometry._depth_blocks, the blocks of the bundle's Q²₂) of cap K: −Q
+    from its modes < K on the block's rows, sampled once on
+    pad_size(2K, 2) = 3K points by geometry.block_values; one zero-padded
     half-spectrum buffer, into which a sweep writes ∂₁(φ₁+φ₂) and
     ∂₂(φ₁+φ₂) of the modes < K and its rfft writes g₁, g₂; the samples,
     turned into g in place; and two scratch planes.  Each block places its
@@ -316,16 +304,13 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     g1v, g2v = phi1._like(forcing[0]), phi1._like(forcing[1])
     blocks = []
     for lo, hi, cap in _depth_blocks(grid):
-        m = pad_size(2 * cap, 2)
         # the block's half spectra, depth-major (rows, m/2+1) like the
         # transforms' lines: −Q once, then per sweep ∂₁(φ₁+φ₂), ∂₂(φ₁+φ₂) in
         # and g₁, g₂ out; −(a·b + c·d) = (−a)·b + (−c)·d exactly
-        spec = np.zeros((3, hi - lo, m // 2 + 1), dtype=np.complex128)
-        for plane, q in zip(spec, (bundle.q11, bundle.q12, bundle.q22)):
-            plane[:, :cap] = q.coeffs[:cap, lo:hi].T
-        nq = np.negative(np.fft.irfft(spec, n=m, axis=-1, norm="forward"))
-        blocks.append((lo, hi, cap, nq, spec[:2], np.empty((2, hi - lo, m)),
-                       np.empty((2, hi - lo, m))))
+        spec, nq = block_values((bundle.q11, bundle.q12, bundle.q22), lo, hi, cap, 2)
+        np.negative(nq, out=nq)
+        blocks.append((lo, hi, cap, nq, spec[:2], np.empty((2, *nq.shape[1:])),
+                       np.empty((2, *nq.shape[1:]))))
 
     phi2, dz2 = start if start is not None else (zero_strip(grid),) * 2
     out_phi, out_dz = phi2, dz2

@@ -177,11 +177,14 @@ def _step_tables(n_modes: int, alpha: float, dt: float, kappa: float):
 @dataclass(frozen=True)
 class StepInfo:
     mean_drift: float
-    picard_iters: int
+    picard_iters: int                    # the most sweeps any φ₂ solve of the step took
+    picard_sweeps: int = 0               # the sweeps of all its φ₂ solves
+    phi2_solves: int = 0                 # its φ₂ solves: 2, or 0 at ε = 0
     bulk_gradient: float | None = None   # gradient_norm at the input state (ε > 0)
     xi_remainder: SpectrumField | None = None   # ξ row of N(u⁰) at the input state
     mixed_solves: int = 0                # solves that switched to Anderson mixing
-    phi2: tuple[StripField, StripField] | None = None   # first-stage (φ₂, ∂₂φ₂)
+    phi2: tuple[StripField, StripField] | None = None        # first-stage (φ₂, ∂₂φ₂)
+    phi2_pred: tuple[StripField, StripField] | None = None   # predictor (φ₂, ∂₂φ₂)
 
 
 def _pack(state: SimState) -> np.ndarray:
@@ -206,8 +209,7 @@ def _finite(u: np.ndarray, what: str) -> np.ndarray:
 
 def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
          opts: StepOptions = StepOptions(), record: bool = False,
-         phi2_prev: tuple[StripField, StripField] | None = None
-         ) -> tuple[SimState, StepInfo]:
+         prev: StepInfo | None = None) -> tuple[SimState, StepInfo]:
     """One Lawson–Heun step: u¹ = P u⁰ + (dt/2)(P N(u⁰) + N(P(u⁰ + dt N(u⁰)))).
 
     At ε = 0 the system is linear, N = 0, and the step is the exact
@@ -218,31 +220,34 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
     ξ row of the nonlinear remainder N(u⁰) = ∂ₜu⁰ − M·u⁰ the step applied
     (zero at ε = 0).
 
-    The first-stage φ₂ solve at u⁰ starts from zero, so it is the solve
-    any other caller makes at that state; info.phi2 is its (φ₂, ∂₂φ₂).  The
-    predictor solve starts from the extrapolation 2φ₂(u⁰) − φ₂(u⁻¹), O(dt²)
-    from its solution, with phi2_prev = φ₂(u⁻¹) the previous step's
-    info.phi2, whose arrays it overwrites; without phi2_prev from φ₂(u⁰).
-    Raises NumericsError when the predictor or the new state has a
-    non-finite coefficient.
+    Both φ₂ solves start warm from prev, the previous step's info; info.phi2
+    and info.phi2_pred are this step's first-stage and predictor
+    (φ₂, ∂₂φ₂).  The first-stage solve at u⁰ starts from prev.phi2_pred,
+    the solution at the previous predictor state ũ⁰: the same time, and
+    O(dt²) from u⁰, since Heun's predictor and corrector differ by O(dt²).
+    The predictor solve starts from the extrapolation 2φ₂(u⁰) − φ₂(u⁻¹),
+    O(dt²) from its solution, written over the arrays of
+    prev.phi2 = φ₂(u⁻¹).  Without prev the first stage starts from zero and
+    the predictor from φ₂(u⁰).  Raises NumericsError when the predictor or
+    the new state has a non-finite coefficient.
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     p, factors = _step_tables(state.n_modes, params.alpha, dt, params.kappa)
     u0 = _pack(state)
-    iters = 0
-    mixed = 0
+    iters = sweeps = solves = mixed = 0
     bulk = None
     remainder = None
-    phi2 = None
+    phi2 = phi2_pred = None
 
     if params.epsilon == 0.0:
         u1 = _apply(p, u0)
         if record:
             remainder = zero_field(state.n_modes)
     else:
-        r0 = evaluate_rhs(state, params, grid, opts)
-        iters = max(iters, r0.solution.picard_iters)
+        r0 = evaluate_rhs(state, params, grid, opts,
+                          phi2_start=None if prev is None else prev.phi2_pred)
+        iters = sweeps = r0.solution.picard_iters
         mixed += r0.solution.mixed_from is not None
         if record:
             bulk = gradient_norm(r0.solution.phi1, r0.solution.phi2,
@@ -255,21 +260,25 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
         u_pred = _finite(_apply(p, u0 + dt * k1), "predictor state")
         pred = _unpack(u_pred, state.t + dt, state.h)
         start = phi2
-        if phi2_prev is not None:             # in place: (c − p) + c
-            for cur, prev in zip(phi2, phi2_prev):
-                np.subtract(cur.coeffs, prev.coeffs, out=prev.coeffs)
-                np.add(prev.coeffs, cur.coeffs, out=prev.coeffs)
-            start = phi2_prev
+        if prev is not None and prev.phi2 is not None:   # in place: (c − p) + c
+            for cur, old in zip(phi2, prev.phi2):
+                np.subtract(cur.coeffs, old.coeffs, out=old.coeffs)
+                np.add(old.coeffs, cur.coeffs, out=old.coeffs)
+            start = prev.phi2
         r1 = evaluate_rhs(pred, params, grid, opts, phi2_start=start)
         iters = max(iters, r1.solution.picard_iters)
+        sweeps += r1.solution.picard_iters
+        solves = 2
         mixed += r1.solution.mixed_from is not None
+        phi2_pred = (r1.solution.phi2, r1.solution.dzphi2)
         k2 = np.array([r1.xi_t.coeffs, r1.h_t.coeffs]) - _apply_linear(factors, u_pred)
         u1 = _apply(p, u0) + 0.5 * dt * (_apply(p, k1) + k2)
 
     drift = abs(_finite(u1, "new state")[1][0])
     u1[1][0] = 0.0
-    info = StepInfo(mean_drift=float(drift), picard_iters=iters, bulk_gradient=bulk,
-                    xi_remainder=remainder, mixed_solves=mixed, phi2=phi2)
+    info = StepInfo(mean_drift=float(drift), picard_iters=iters, picard_sweeps=sweeps,
+                    phi2_solves=solves, bulk_gradient=bulk, xi_remainder=remainder,
+                    mixed_solves=mixed, phi2=phi2, phi2_pred=phi2_pred)
     return _unpack(u1, state.t + dt, state.h), info
 
 
@@ -282,20 +291,21 @@ class Trajectory:
     that state, or None where no step solved it (the final state, every
     state at ε = 0); xi_remainder holds the step's StepInfo.xi_remainder
     there, or None at the final state.  Both are empty for hand-built
-    trajectories.
+    trajectories.  The counters sum the steps' StepInfo over the run.
     """
 
     states: tuple[SimState, ...]
     params: ModelParams
     grid: StripGrid
     dt: float
-    record_every: int
     max_mean_drift: float
     max_picard_iters: int
     opts: StepOptions
     bulk: tuple[float | None, ...] = ()
     xi_remainder: tuple[SpectrumField | None, ...] = ()
     mixed_solves: int = 0      # the stepper's solves that switched to mixing
+    picard_sweeps: int = 0     # the sweeps of all the stepper's φ₂ solves
+    phi2_solves: int = 0       # the stepper's φ₂ solves
 
     @property
     def times(self) -> np.ndarray:
@@ -305,7 +315,9 @@ class Trajectory:
 def run(h0: SpectrumField, xi0: SpectrumField, params: ModelParams,
         grid: StripGrid, dt: float, t_final: float, record_every: int = 10,
         opts: StepOptions | None = None) -> Trajectory:
-    """Advance to t_final, recording every record_every steps (plus endpoints)."""
+    """Advance to t_final, recording every record_every steps (plus endpoints).
+
+    Each step's φ₂ solves start from the last step's (see step)."""
     if t_final < 0:
         raise ConfigurationError(f"t_final must be >= 0, got {t_final}")
     if record_every < 1:
@@ -318,30 +330,30 @@ def run(h0: SpectrumField, xi0: SpectrumField, params: ModelParams,
     remainders: list[SpectrumField | None] = [None]
     n_steps = int(round(t_final / dt)) if t_final > 0 else 0
     max_drift = 0.0
-    max_iters = 0
-    mixed = 0
-    phi2 = None                 # the last step's first-stage φ₂, for one step
+    max_iters = sweeps = solves = mixed = 0
+    info = None                 # the last step's, for one step
     for i in range(n_steps):
         # the state entering step i was recorded exactly when i % record_every == 0
         try:
             state, info = step(state, params, grid, dt, opts,
-                               record=i % record_every == 0, phi2_prev=phi2)
+                               record=i % record_every == 0, prev=info)
         except NumericsError as exc:
             raise NumericsError(f"step {i + 1} of {n_steps} "
                                 f"(t = {state.t:.6g} -> {state.t + dt:.6g}): {exc}") from exc
-        phi2 = info.phi2
         if info.bulk_gradient is not None:
             bulk[-1] = info.bulk_gradient
         if info.xi_remainder is not None:
             remainders[-1] = info.xi_remainder
         max_drift = max(max_drift, info.mean_drift)
         max_iters = max(max_iters, info.picard_iters)
+        sweeps += info.picard_sweeps
+        solves += info.phi2_solves
         mixed += info.mixed_solves
         if (i + 1) % record_every == 0 or i == n_steps - 1:
             records.append(state)
             bulk.append(None)
             remainders.append(None)
     return Trajectory(states=tuple(records), params=params, grid=grid, dt=dt,
-                      record_every=record_every, max_mean_drift=max_drift,
-                      max_picard_iters=max_iters, opts=opts, bulk=tuple(bulk),
-                      xi_remainder=tuple(remainders), mixed_solves=mixed)
+                      max_mean_drift=max_drift, max_picard_iters=max_iters, opts=opts,
+                      bulk=tuple(bulk), xi_remainder=tuple(remainders),
+                      mixed_solves=mixed, picard_sweeps=sweeps, phi2_solves=solves)

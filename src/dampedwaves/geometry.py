@@ -24,13 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DiffeomorphismError
 from .spectral import (RealField, SpectrumField, _adopt, _check_n_modes, dx,
-                       lam, pad_size, project, project_stack, stored_modes,
-                       values_on_grid, values_stack)
+                       lam, pad_size, project_stack, stored_modes, values_on_grid,
+                       values_stack)
 
 
 @dataclass(frozen=True)
@@ -189,14 +190,63 @@ def harmonic_extension(h: SpectrumField, grid: StripGrid) -> StripField:
     return StripField(grid, extension_profile(grid) * h.coeffs[:, None])
 
 
+# ---------------------------------------------------------------------------
+# depth blocks: the modes above round-off at each depth
+
+ROUNDOFF_EXPONENT = 42.0    # a block drops mode n at depth z only where n·|z| exceeds
+                            # this: e^{−42} ≈ 6e-19 of the top size, under round-off
+
+
+@lru_cache(maxsize=16)
+def _depth_blocks(grid: StripGrid) -> tuple[tuple[int, int, int], ...]:
+    """Contiguous depth-row blocks (start, stop, K), bottom up, that cover
+    the rows: a block's pointwise products (Q²₂ in build_geometry, the
+    forcing of a φ₂ sweep) keep the modes 0..K−1.  Each row takes the
+    smallest cap K of N/2, N/4, … (K >= 4) with K·|z| > ROUNDOFF_EXPONENT,
+    and N/2 when there is none, so every dropped (n, z) has
+    n·|z| > ROUNDOFF_EXPONENT and the caps grow towards the top.
+
+    Every such product is built from harmonic extensions, so its mode n at
+    depth z is of size e^{n·z} against its top value: a dropped entry is
+    under e^{−42} of the largest, far below its ulp."""
+    depth = -grid.z
+    cap = np.full(grid.n_depth, grid.n_modes // 2)
+    k = grid.n_modes // 4
+    while k >= 4:
+        cap[k * depth > ROUNDOFF_EXPONENT] = k
+        k //= 2
+    edges = [0, *(np.flatnonzero(np.diff(cap)) + 1).tolist(), grid.n_depth]
+    return tuple((lo, hi, int(cap[lo])) for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+def block_values(fields: Sequence[StripField], lo: int, hi: int, cap: int,
+                 degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of the depth rows lo:hi of strip fields from their modes
+    0..cap−1, on the m = pad_size(2·cap, degree) grid of a product of that
+    degree in such fields: (half, values), the zero-padded half spectra
+    (len(fields), hi − lo, m/2 + 1) and the real samples (len(fields),
+    hi − lo, m), depth-major.  With cap = N/2 every row's samples are those
+    of values_stack at pad_size(N, degree), bit for bit."""
+    m = pad_size(2 * cap, degree)
+    half = np.zeros((len(fields), hi - lo, m // 2 + 1), dtype=np.complex128)
+    for plane, f in zip(half, fields):
+        plane[:, :cap] = f.coeffs[:cap, lo:hi].T
+    return half, np.fft.irfft(half, n=m, axis=-1, norm="forward")
+
+
 @dataclass(frozen=True)
 class GeometryBundle:
     """δψ's derivatives and the tensors J, A, Q = JAAᵀ − Id of one interface.
 
-    Only Q²₂ is projected at build time; Q¹₁, Q¹₂, J and the A row are
+    Only Q²₂ is projected at build time, per depth block (_depth_blocks):
+    a block of cap K samples δψ,₁ and δψ,₂ from their modes < K on 4K
+    points and keeps Q²₂'s modes < K, so Q²₂'s entries at n·|x₂| >
+    ROUNDOFF_EXPONENT are exactly 0.  Q¹₁, Q¹₂, J and the A row are
     derived on read.  A¹₁ ≡ 1 and A¹₂ ≡ 0 are not materialized.
-    diffeo_margin is the minimum of J over the padded sampling grid;
-    admissible states keep it positive.
+    diffeo_margin is the minimum of J over the blocks' sampling grids.  By
+    the maximum principle it lies on the top row, which the top block
+    samples on the full pad_size(N, 3) grid; admissible states keep it
+    positive.
     """
 
     grid: StripGrid
@@ -239,17 +289,21 @@ def build_geometry(h: SpectrumField, grid: StripGrid,
     dpsi1, dpsi2 = dx(psi), lam(psi)
     del psi                               # freed before sampling: peak memory
 
-    d1, d2 = values_stack([dpsi1, dpsi2], pad_size(grid.n_modes, 3))
-    j = 1.0 + d2
-    margin = float(np.min(j))
+    blocks = [(lo, hi, cap, *block_values([dpsi1, dpsi2], lo, hi, cap, 3)[1])
+              for lo, hi, cap in _depth_blocks(grid)]
+    js = [1.0 + d2 for *_, d2 in blocks]
+    margin = float(min(np.min(j) for j in js))
     if margin <= margin_min:
         raise DiffeomorphismError(
             f"not a diffeomorphism at this amplitude: min J = {margin:.4f} "
             f"<= margin_min = {margin_min:g}")
 
-    q22 = project((d1 * d1 - d2) / j, dpsi1)
+    q22 = np.zeros_like(dpsi1.coeffs)     # a block's modes >= K stay 0
+    for (lo, hi, cap, d1, d2), j in zip(blocks, js):
+        q = np.fft.rfft((d1 * d1 - d2) / j, axis=-1, norm="forward")
+        q22[:cap, lo:hi] = q[:, :cap].T
     return GeometryBundle(grid=grid, boundary=h, dpsi1=dpsi1, dpsi2=dpsi2,
-                          q22=q22, diffeo_margin=margin)
+                          q22=dpsi1._like(q22), diffeo_margin=margin)
 
 
 def identity_defect(bundle: GeometryBundle) -> float:

@@ -2,23 +2,26 @@
 
 Small helpers that number the modes of the FFT layout and read a spectrum
 by signed mode; M·u written from the evolution docstring's M(n); the lemma
-checks whose sharp constants the package's runs never evaluate; and the ξ
-energy budget as computed before the stepper carried its remainder, by
-solving every interior record afresh.
+checks whose sharp constants the package's runs never evaluate; the
+geometry as built before it was built in depth blocks; and the ξ energy
+budget as computed before the stepper carried its remainder, by solving
+every interior record afresh from the start the stepper's solve had.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 from dampedwaves import evolution as ev
 from dampedwaves.diagnostics import BUDGET_REL_SLACK, floored_wiener
-from dampedwaves.errors import ConfigurationError
-from dampedwaves.geometry import StripGrid, harmonic_extension
+from dampedwaves.errors import ConfigurationError, DiffeomorphismError
+from dampedwaves.geometry import GeometryBundle, StripGrid, harmonic_extension
 from dampedwaves.norms import (DEFAULT_SLACK, QUADRATURE_SLACK, InequalityReport,
                                NormSpec, wiener_norm)
 from dampedwaves.spectral import (SpectrumField, dx, hermitian_fill, lam,
-                                  mode_multiplicity, pad_size, project_stack,
+                                  mode_multiplicity, pad_size, project, project_stack,
                                   values_stack)
 
 
@@ -105,10 +108,52 @@ def check_extension_chain(xi: SpectrumField, grid: StripGrid, r: float, s: float
     return InequalityReport.compare(lhs, rhs, 1.0, slack)
 
 
-def resolved_xi_energy_budget(traj: ev.Trajectory) -> InequalityReport:
+def full_band_geometry(h: SpectrumField, grid: StripGrid,
+                       margin_min: float = 0.1) -> GeometryBundle:
+    """build_geometry as it was before its depth blocks: δψ,₁ and δψ,₂ from
+    all N/2 modes on every depth row, sampled on the pad_size(N, 3) grid."""
+    psi = harmonic_extension(h, grid)
+    dpsi1, dpsi2 = dx(psi), lam(psi)
+    d1, d2 = values_stack([dpsi1, dpsi2], pad_size(grid.n_modes, 3))
+    j = 1.0 + d2
+    margin = float(np.min(j))
+    if margin <= margin_min:
+        raise DiffeomorphismError(f"min J = {margin:.4f} <= margin_min = {margin_min:g}")
+    return GeometryBundle(grid=grid, boundary=h, dpsi1=dpsi1, dpsi2=dpsi2,
+                          q22=project((d1 * d1 - d2) / j, dpsi1), diffeo_margin=margin)
+
+
+def capture_first_stage_starts(monkeypatch) -> list:
+    """Wrap evolution.solve_phi2 so that each step's first solve, the first
+    stage at the step's input state, leaves a copy of its start in the
+    returned list: one (φ₂, ∂₂φ₂) per step at ε ≠ 0, None for a cold start."""
+    starts, solve = [], ev.solve_phi2
+    calls = itertools.count()
+
+    def wrapped(*args, start=None, **kwargs):
+        if next(calls) % 2 == 0:      # two solves per step, the first stage first
+            starts.append(None if start is None else
+                          tuple(f._like(f.coeffs.copy()) for f in start))
+        return solve(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(ev, "solve_phi2", wrapped)
+    return starts
+
+
+def resolved_rhs(traj: ev.Trajectory, i: int, starts=()) -> ev.RhsEval:
+    """evaluate_rhs at record i under the run's options, its φ₂ solve
+    started from starts[k], k the step that the record's state entered (see
+    capture_first_stage_starts), or from zero where starts has no entry."""
+    state = traj.states[i]
+    k = int(round(state.t / traj.dt))
+    start = starts[k] if k < len(starts) else None
+    return ev.evaluate_rhs(state, traj.params, traj.grid, traj.opts, phi2_start=start)
+
+
+def resolved_xi_energy_budget(traj: ev.Trajectory, starts=()) -> InequalityReport:
     """diagnostics.check_xi_energy_budget with each interior record's
-    remainder ξ_t − (M·u)_ξ re-solved by evaluate_rhs under the run's
-    options, or zero at ε = 0, where the run applies none."""
+    remainder ξ_t − (M·u)_ξ re-solved by resolved_rhs, or zero at ε = 0,
+    where the run applies none."""
     params = traj.params
     states = traj.states
     if len(states) < 3:
@@ -124,7 +169,7 @@ def resolved_xi_energy_budget(traj: ev.Trajectory) -> InequalityReport:
         if params.epsilon == 0.0:
             nl = np.zeros_like(s0.xi.coeffs)
         else:
-            r = ev.evaluate_rhs(s0, params, traj.grid, traj.opts)
+            r = resolved_rhs(traj, i, starts)
             u = np.stack([s0.xi.coeffs, s0.h.coeffs])
             nl = r.xi_t.coeffs - linear_rhs(u, modes, params.alpha, params.kappa)[0]
         rhs = (-(params.alpha - params.mu) * floored_wiener(lam(s0.xi, 2.0), 1.0, lam_t)

@@ -17,7 +17,7 @@ from dampedwaves import elliptic as el
 from dampedwaves import evolution as ev
 from dampedwaves.errors import ConfigurationError
 from dampedwaves.norms import NormSpec, wiener_norm
-from oracles import coeff, resolved_xi_energy_budget
+from oracles import capture_first_stage_starts, coeff, resolved_xi_energy_budget
 
 MINIMAL = """
 [model]
@@ -173,11 +173,16 @@ class TestCli:
                                                           "smallness_cap"]
         assert verdict["summary"]["mixed_solves"] == 0
         assert verdict["summary"]["max_picard_iters"] >= 1
-        # the relative budget margin, equal to the one solved afresh at every record
+        assert verdict["summary"]["phi2_solves"] == 2 * 15         # two per step
+        assert verdict["summary"]["picard_sweeps"] >= verdict["summary"]["phi2_solves"]
+        # the relative budget margin, equal to the one solved afresh at every
+        # record from the start the stepper's solve had
         cfg = cf.parse_config(tiny_config.read_text())
-        traj = ev.run(*cf.initial_data(cfg), cfg.params, cfg.grid, cfg.dt, cfg.t_final,
-                      record_every=cfg.record_every, opts=cfg.step_options)
-        rep = resolved_xi_energy_budget(traj)
+        with monkeypatch.context() as m:
+            starts = capture_first_stage_starts(m)
+            traj = ev.run(*cf.initial_data(cfg), cfg.params, cfg.grid, cfg.dt, cfg.t_final,
+                          record_every=cfg.record_every, opts=cfg.step_options)
+        rep = resolved_xi_energy_budget(traj, starts)
         assert verdict["summary"]["xi_budget_rel_margin"] == rep.margin / abs(rep.rhs)
         snaps = (out / "snapshots.jsonl").read_text().splitlines()
         assert len(snaps) >= 2
@@ -513,5 +518,8 @@ def test_verdict_summary_counts_mixed_solves(tmp_path, monkeypatch):
     rep = dg.check_xi_energy_budget(traj)
     assert verdict["summary"] == {"max_picard_iters": traj.max_picard_iters,
                                   "mixed_solves": traj.mixed_solves,
+                                  "picard_sweeps": traj.picard_sweeps,
+                                  "phi2_solves": traj.phi2_solves,
                                   "xi_budget_rel_margin": (rep.rhs - rep.lhs) / abs(rep.rhs)}
-    assert traj.mixed_solves == 2 * wl.steps       # every stepper solve switched
+    assert traj.mixed_solves == traj.phi2_solves == 2 * wl.steps   # every solve switched
+    assert traj.picard_sweeps >= 3 * traj.phi2_solves     # mixing starts at sweep 3

@@ -405,7 +405,7 @@ class TestDepthBlocks:
         (128, 384, 8.0), (12, 97, 40.0), (256, 129, 40.0)])
     def test_block_map(self, n_modes, n_depth, depth):
         grid = geo.StripGrid(n_modes, depth=depth, n_depth=n_depth)
-        blocks = el._depth_blocks(grid)
+        blocks = geo._depth_blocks(grid)
         assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]]
         assert blocks[-1][1] == n_depth and all(lo < hi for lo, hi, _ in blocks)
         caps = [cap for _, _, cap in blocks]
@@ -413,13 +413,13 @@ class TestDepthBlocks:
         assert all(cap >= 4 for cap in caps[:-1])
         for lo, hi, cap in blocks:
             dropped = grid.modes[cap:, None] * np.abs(grid.z[lo:hi])
-            assert np.all(dropped > el.ROUNDOFF_EXPONENT)
-        assert el._depth_blocks(grid) is blocks
+            assert np.all(dropped > geo.ROUNDOFF_EXPONENT)
+        assert geo._depth_blocks(grid) is blocks and el._depth_blocks is geo._depth_blocks
 
     def test_bench_grids(self):
         def rows_and_caps(n_modes, n_depth):
             return [(hi - lo, cap) for lo, hi, cap in
-                    el._depth_blocks(geo.StripGrid(n_modes, depth=8.0, n_depth=n_depth))]
+                    geo._depth_blocks(geo.StripGrid(n_modes, depth=8.0, n_depth=n_depth))]
         assert rows_and_caps(8, 48) == [(48, 4)]
         assert rows_and_caps(16, 64) == [(64, 8)]
         assert rows_and_caps(64, 192) == [(66, 8), (63, 16), (63, 32)]
@@ -456,10 +456,12 @@ class TestDepthBlocks:
                                                   monkeypatch):
         bundle, phi1 = self.state(name, workload_problem)
         sol = el.solve_phi2(bundle, phi1)
-        # one block of all modes: the full-band sweep of reference_sweep
-        monkeypatch.setattr(el, "_depth_blocks",
-                            lambda grid: ((0, grid.n_depth, grid.n_modes // 2),))
-        ref = el.solve_phi2(bundle, phi1)
+        # one block of all modes, in the geometry and the sweep: the full-band
+        # Q²₂ and the full-band sweep of reference_sweep
+        for module in (geo, el):
+            monkeypatch.setattr(module, "_depth_blocks",
+                                lambda grid: ((0, grid.n_depth, grid.n_modes // 2),))
+        ref = el.solve_phi2(geo.build_geometry(bundle.boundary, bundle.grid), phi1)
         assert sol.picard_iters == ref.picard_iters
         assert sol.mixed_from == ref.mixed_from
         assert rel_diff(sol.phi2, ref.phi2) <= 1e-14

@@ -276,48 +276,69 @@ class TestNonFinite:
 
 
 class TestPredictorStart:
-    """The predictor's φ₂ solve starts from 2φ₂(uⁿ) − φ₂(uⁿ⁻¹)."""
+    """Every φ₂ solve of a run after its first starts from a nearby solution:
+    the first stage at uⁿ from the last predictor's φ₂(ũⁿ), the predictor
+    from 2φ₂(uⁿ) − φ₂(uⁿ⁻¹)."""
 
-    def test_predictor_solves_take_fewer_sweeps(self, monkeypatch):
-        stages, sweeps = [], {"first": 0, "predictor": 0}
+    @staticmethod
+    def decay_run(monkeypatch, t_final):
+        """The decay run's data (small_two_mode, |h₀|₁ + |ξ₀|₁ = 0.01) on
+        64 × 64 to t_final: (trajectory, every solve's start, sweeps)."""
+        starts, sweeps = [], []
         solve, poisson = ev.solve_phi2, el.poisson_divform
-
-        def counted_solve(*args, start=None, **kwargs):
-            stages.append("first" if start is None else "predictor")
-            return solve(*args, start=start, **kwargs)
-
-        def counted_poisson(*args, **kwargs):
-            sweeps[stages[-1]] += 1
-            return poisson(*args, **kwargs)
-
-        monkeypatch.setattr(ev, "solve_phi2", counted_solve)
-        monkeypatch.setattr(el, "poisson_divform", counted_poisson)
-        # the decay run's data (small_two_mode, |h₀|₁ + |ξ₀|₁ = 0.01) on 64 × 64
+        monkeypatch.setattr(ev, "solve_phi2", lambda *a, start=None, **kw:
+                            starts.append(start) or solve(*a, start=start, **kw))
+        monkeypatch.setattr(el, "poisson_divform", lambda *a, **kw:
+                            sweeps.append(1) or poisson(*a, **kw))
         a = 0.01 / 7.0
         h0 = sp.cosine(1, a, 64) + sp.cosine(2, 0.5 * a, 64)
         xi0 = sp.sine(1, a, 64) + sp.sine(2, 0.5 * a, 64)
-        ev.run(h0, xi0, ev.ModelParams(alpha=3.0, mu=1.0), small_grid(64, 64),
-               1e-3, 0.01, record_every=5)
-        assert stages == ["first", "predictor"] * 10
-        assert sweeps["predictor"] < sweeps["first"]
+        traj = ev.run(h0, xi0, ev.ModelParams(alpha=3.0, mu=1.0), small_grid(64, 64),
+                      1e-3, t_final, record_every=10)
+        return traj, starts, len(sweeps)
+
+    def test_every_solve_after_the_first_starts_warm(self, monkeypatch):
+        traj, starts, sweeps = self.decay_run(monkeypatch, 0.01)
+        assert len(starts) == traj.phi2_solves == 20
+        assert starts[0] is None and all(s is not None for s in starts[1:])
+        assert traj.picard_sweeps == sweeps
+
+    def test_decay_run_sweeps_per_solve(self, monkeypatch):
+        # the decay workload's 200 steps: a cold first solve of 3 sweeps, then
+        # 1 per first stage and 1–2 per predictor while the fast modes decay
+        traj, _, sweeps = self.decay_run(monkeypatch, 0.2)
+        assert traj.phi2_solves == 400 and traj.picard_sweeps == sweeps
+        assert traj.picard_sweeps <= 1.25 * traj.phi2_solves
 
     def test_step_extrapolates_in_place_and_hands_on_its_first_stage(self, monkeypatch):
         grid = small_grid(16, 64)
         params = ev.ModelParams(alpha=1.0)
         state = ev.SimState(sp.cosine(1, 0.05, 16), sp.sine(1, 0.05, 16), 0.0)
         _, info0 = ev.step(state, params, grid, 1e-2)
-        # the first stage is the cold solve at the input state (κ = 0, ε = 1)
+        # without prev the first stage is the cold solve at the input state (κ = 0, ε = 1)
         cur = el.solve_phi2(geo.build_geometry(state.h, grid), el.solve_phi1(state.xi, grid))
         assert all(np.array_equal(a.coeffs, b.coeffs)
                    for a, b in zip(info0.phi2, (cur.phi2, cur.dzphi2)))
-        starts, solve = [], ev.solve_phi2
-        monkeypatch.setattr(ev, "solve_phi2", lambda *a, start=None, **kw:
-                            starts.append(start) or solve(*a, start=start, **kw))
-        prev = tuple(geo.StripField(grid, 0.5 * f.coeffs) for f in info0.phi2)
-        ev.step(state, params, grid, 1e-2, phi2_prev=prev)
-        assert starts[0] is None and starts[1] is prev
-        for got, c in zip(prev, info0.phi2):
-            assert np.allclose(got.coeffs, 1.5 * c.coeffs, rtol=1e-14, atol=0.0)
+        starts, sols, solve = [], [], ev.solve_phi2
+
+        def recorded(*a, start=None, **kw):
+            starts.append(start)
+            sols.append(solve(*a, start=start, **kw))
+            return sols[-1]
+
+        monkeypatch.setattr(ev, "solve_phi2", recorded)
+        halves = tuple(geo.StripField(grid, 0.5 * f.coeffs) for f in info0.phi2)
+        prev = dataclasses.replace(info0, phi2=halves)
+        _, info1 = ev.step(state, params, grid, 1e-2, prev=prev)
+        assert starts == [info0.phi2_pred, halves]
+        first, predictor = sols
+        assert info1.phi2 == (first.phi2, first.dzphi2)
+        assert info1.phi2_pred == (predictor.phi2, predictor.dzphi2)
+        # the predictor's start, written over prev.phi2: (c − p) + c
+        for got, c, half in zip(halves, info1.phi2, info0.phi2):
+            assert np.array_equal(got.coeffs, (c.coeffs - 0.5 * half.coeffs) + c.coeffs)
+        assert info1.picard_sweeps == first.picard_iters + predictor.picard_iters
+        assert info1.phi2_solves == 2
 
 
 class TestHermitianStability:

@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
+from dampedwaves.config import initial_data, parse_config
 from dampedwaves.errors import ConfigurationError, DiffeomorphismError
 from dampedwaves.harness import random_boundary_field, random_strip_field
+from oracles import full_band_geometry
 
 
 def laplacian_residual(field: geo.StripField, acc: int = 4) -> float:
@@ -116,6 +120,49 @@ class TestGeometryBundle:
             assert h2 <= 0.1
             cs.append((1.0 - b.diffeo_margin) / h2)
         assert max(cs) <= 1.0   # logged constant: ~0.7 for single-mode data
+
+
+class TestBlockedGeometry:
+    """Q²₂ built per depth block against the full-band build (oracles)."""
+
+    @staticmethod
+    def workload_boundary(name, monkeypatch):
+        """(εh^κ, grid, margin_min) of a benchmark workload's initial state."""
+        monkeypatch.syspath_prepend(str(Path(geo.__file__).resolve().parents[2] / "bench"))
+        from workloads import WORKLOADS, config_text
+        cfg = parse_config(config_text(WORKLOADS[name], 1))
+        h, _ = initial_data(cfg)
+        return (cfg.params.epsilon * sp.mollify(h, cfg.params.kappa), cfg.grid,
+                cfg.step_options.margin_min)
+
+    @pytest.mark.parametrize("name", ["coarse_linear_8x48", "decay_64x192",
+                                      "steep_128x384"])
+    def test_bench_states_match_full_band(self, name, monkeypatch):
+        b, grid, margin_min = self.workload_boundary(name, monkeypatch)
+        got = geo.build_geometry(b, grid, margin_min=margin_min)
+        want = full_band_geometry(b, grid, margin_min=margin_min)
+        assert got.diffeo_margin == want.diffeo_margin
+        assert np.array_equal(got.q22.coeffs[:, -1], want.q22.coeffs[:, -1])
+        scale = np.max(np.abs(want.q22.coeffs))
+        assert np.max(np.abs(got.q22.coeffs - want.q22.coeffs)) <= 1e-15 * scale
+        for lo, hi, cap in geo._depth_blocks(grid):
+            assert np.all(got.q22.coeffs[cap:, lo:hi] == 0.0)
+
+    def test_one_block_grid_is_bitwise_full_band(self):
+        grid = geo.StripGrid(16, depth=8.0, n_depth=64)
+        assert len(geo._depth_blocks(grid)) == 1
+        h = random_boundary_field(np.random.default_rng(3), 16, 7, scale=0.05)
+        got, want = geo.build_geometry(h, grid), full_band_geometry(h, grid)
+        assert got.diffeo_margin == want.diffeo_margin
+        assert np.array_equal(got.q22.coeffs, want.q22.coeffs)
+
+    def test_block_values_top_block_is_values_stack(self):
+        grid = geo.StripGrid(64, depth=8.0, n_depth=192)
+        lo, hi, cap = geo._depth_blocks(grid)[-1]
+        f = geo.harmonic_extension(sp.cosine(1, 0.1, 64) + sp.cosine(3, 0.02, 64), grid)
+        _, got = geo.block_values([f, sp.lam(f)], lo, hi, cap, 3)
+        want = sp.values_stack([f, sp.lam(f)], sp.pad_size(64, 3))
+        assert cap == 32 and np.array_equal(got, want[:, :, lo:hi].swapaxes(1, 2))
 
 
 class TestPiola:
