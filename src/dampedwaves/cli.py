@@ -6,6 +6,10 @@ All outputs are deterministic: `run` output for a fixed config, and the
 Floats are written with shortest round-trip repr, no timestamps, stable row
 order.  The output
 directory may be overridden with the DAMPEDWAVES_OUTDIR environment variable.
+
+Exit codes: 0 pass, 1 a mandatory check failed, 2 a config error (an
+invalid config file, or validate arguments that would check nothing or
+crash, rejected before anything is written), 3 an aborted run.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -64,6 +69,11 @@ def _outdir(requested: str) -> Path:
     return p
 
 
+def _config_error(what) -> int:
+    print(f"config error: {what}", file=sys.stderr)
+    return 2
+
+
 def _write_verdict(path: Path, checks: list[dict], summary: dict | None = None) -> int:
     failed = [c for c in checks if c.get("mandatory", True) and not c["passed"]]
     verdict = {"checks": checks, "failed": len(failed)}
@@ -81,8 +91,7 @@ def cmd_run(args) -> int:
         cfg = parse_config(Path(args.config).read_text())
         h0, xi0 = initial_data(cfg)
     except (OSError, ConfigurationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
     out = _outdir(args.output_dir or cfg.directory)
     (out / "config.resolved.ini").write_text(config_to_text(cfg))
 
@@ -135,8 +144,19 @@ def cmd_run(args) -> int:
 # linear-validate
 
 def cmd_linear_validate(args) -> int:
-    ks = tuple(int(k) for k in args.modes.split(","))
-    errs = hz.linear_fidelity(args.alpha, ks, args.dt, args.t_final)
+    try:
+        ks = tuple(int(k) for k in args.modes.split(","))
+    except ValueError:
+        return _config_error(
+            f"--modes must be a comma-separated list of integers, got {args.modes!r}")
+    if not (math.isfinite(args.dt) and args.dt > 0):
+        return _config_error(f"--dt must be positive and finite, got {args.dt}")
+    if not (math.isfinite(args.t_final) and args.t_final >= 0):
+        return _config_error(f"--t-final must be >= 0 and finite, got {args.t_final}")
+    try:
+        errs = hz.linear_fidelity(args.alpha, ks, args.dt, args.t_final)
+    except ConfigurationError as exc:
+        return _config_error(exc)
     out = _outdir(args.output_dir)
     rows = [(k, args.alpha, args.dt, args.t_final, errs[k],
              errs[k] <= args.tolerance) for k in ks]
@@ -155,6 +175,8 @@ def cmd_linear_validate(args) -> int:
 # elliptic-validate
 
 def cmd_elliptic_validate(args) -> int:
+    if args.trials < 1:
+        return _config_error(f"--trials must be >= 1, got {args.trials}")
     out = _outdir(args.output_dir)
     rows = []
     man = hz.manufactured_solution_errors((128, 256, 512))
@@ -188,6 +210,8 @@ def cmd_elliptic_validate(args) -> int:
 # lint-inequalities
 
 def cmd_lint_inequalities(args) -> int:
+    if args.trials < 1:
+        return _config_error(f"--trials must be >= 1, got {args.trials}")
     out = _outdir(args.output_dir)
     rows = hz.lemma_suite(args.seed, args.trials)
     write_csv(out / "inequalities.csv", TRIALS_SCHEMA, hz.TrialRow.HEADER,

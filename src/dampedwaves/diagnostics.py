@@ -20,7 +20,7 @@ import numpy as np
 from .elliptic import gradient_norm, solve_phi1, solve_phi2
 from .errors import ConfigurationError
 from .evolution import ModelParams, SimState, StepOptions, Trajectory
-from .geometry import StripGrid, build_geometry
+from .geometry import StripGrid, build_geometry, zero_strip
 from .norms import InequalityReport, sobolev_norm
 from .spectral import SpectrumField, lam, mode_multiplicity, mollify
 
@@ -44,26 +44,12 @@ def floored_wiener(f: SpectrumField, s: float, lam_t: float) -> float:
                         * np.exp(expo) * a[keep]))
 
 
-@dataclass(frozen=True)
-class RadiusFit:
-    rho: float
-    r_squared: float
-    n_points: int
-
-    @property
-    def defined(self) -> bool:
-        return np.isfinite(self.rho)
-
-
-UNDEFINED_RADIUS = RadiusFit(rho=float("nan"), r_squared=float("nan"), n_points=0)
-
-
-def analyticity_radius(f: SpectrumField) -> RadiusFit:
+def analyticity_radius(f: SpectrumField) -> float:
     """Fitted decay slope: ρ = −slope of log|f̂(n)| against |n|.
 
     Fits over the stored modes n >= 1 with |f̂(n)| above the noise floor
-    DEFAULT_NOISE_FLOOR·max|f̂|; returns the undefined sentinel when fewer than
-    RADIUS_MIN_POINTS modes qualify.
+    DEFAULT_NOISE_FLOOR·max|f̂|; the radius is undefined, nan, when fewer
+    than RADIUS_MIN_POINTS modes qualify.
 
     Modes within RADIUS_TAPER_DECADES of the floor enter with a weight that
     fades linearly (in log distance) to zero, so the fitted ρ(t) along a decaying
@@ -74,21 +60,17 @@ def analyticity_radius(f: SpectrumField) -> RadiusFit:
     a = np.abs(f.coeffs)
     scale = a.max(initial=0.0)
     if scale == 0.0:
-        return UNDEFINED_RADIUS
+        return float("nan")
     floor = DEFAULT_NOISE_FLOOR * scale
     keep = a > floor
     keep[0] = False
-    n_pts = int(np.count_nonzero(keep))
-    if n_pts < RADIUS_MIN_POINTS:
-        return UNDEFINED_RADIUS
+    if np.count_nonzero(keep) < RADIUS_MIN_POINTS:
+        return float("nan")
     x = f.modes[keep].astype(float)
     y = np.log(a[keep])
     wgt = np.clip(np.log10(a[keep] / floor) / RADIUS_TAPER_DECADES, 0.0, 1.0)
-    slope, intercept = np.polyfit(x, y, 1, w=np.sqrt(wgt))
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum(wgt * (y - np.average(y, weights=wgt)) ** 2))
-    r2 = 1.0 - float(np.sum(wgt * resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return RadiusFit(rho=float(-slope), r_squared=r2, n_points=n_pts)
+    slope = np.polyfit(x, y, 1, w=np.sqrt(wgt))[0]
+    return float(-slope)
 
 
 def envelope_spectrum(h: SpectrumField, xi: SpectrumField) -> SpectrumField:
@@ -115,16 +97,16 @@ def decay_rate(times: np.ndarray, values: np.ndarray,
 
 def check_lyapunov_monotone(times: np.ndarray, values: np.ndarray,
                             slack: float = 1e-6,
-                            transient: float | None = None,
-                            n_min: int = 1) -> InequalityReport:
-    """Nonincreasing after the transient window (default one linear period).
+                            transient: float | None = None) -> InequalityReport:
+    """Nonincreasing after the transient window (default 2π, the period of
+    the linear mode n = 1).
 
     Reports the worst adjacent pair: lhs = v(t_{i+1}), rhs = v(t_i)(1+slack).
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if transient is None:
-        transient = 2.0 * np.pi / np.sqrt(max(n_min, 1))
+        transient = 2.0 * np.pi
     idx = np.where(times >= transient)[0]
     if idx.size < 2:
         raise ConfigurationError("monotonicity window holds fewer than two records")
@@ -166,10 +148,13 @@ def bulk_gradient_norm(state: SimState, params: ModelParams, grid: StripGrid,
                        opts: StepOptions) -> float:
     """elliptic.gradient_norm of the potential at one state, solved afresh.
 
-    The geometry and Picard problem are the stepper's (εh^κ, ξ^κ, opts); at
-    ε = 0 the strip is flat and the solve takes one sweep.
+    The geometry and Picard problem are the stepper's (εh^κ, ξ^κ, opts).  At
+    ε = 0 the strip is flat and φ₂ is exactly 0, so nothing is solved.
     """
     phi1 = solve_phi1(mollify(state.xi, params.kappa), grid)
+    if params.epsilon == 0.0:
+        zero = zero_strip(grid)
+        return gradient_norm(phi1, zero, zero)
     bundle = build_geometry(params.epsilon * mollify(state.h, params.kappa), grid,
                             margin_min=opts.margin_min)
     esol = solve_phi2(bundle, phi1, tol=opts.picard_tol,
@@ -182,8 +167,9 @@ def compute_records(traj: Trajectory) -> list[DiagRecord]:
 
     The bulk term reuses the value the stepper took from its own elliptic
     solve at each state (traj.bulk), so only the states no step solved are
-    solved here, under the run's options: the final state, every state at
-    ε = 0 and those of hand-built trajectories.
+    solved here, under the run's options: the final state and those of
+    hand-built trajectories.  At ε = 0 no state needs a solve (see
+    bulk_gradient_norm).
     """
     params = traj.params
     if params.mu > 0 and params.mu >= params.alpha / 2.0:
@@ -211,12 +197,12 @@ def compute_records(traj: Trajectory) -> list[DiagRecord]:
         lam_t = params.mu * state.t
         wh = floored_wiener(state.h, 1.0, lam_t)
         wx = floored_wiener(state.xi, 1.0, lam_t)
-        fit = analyticity_radius(envelope_spectrum(state.h, state.xi))
         records.append(DiagRecord(
             t=state.t, sobolev_h3=sh, sobolev_xi3=sx,
             wiener_h=wh, wiener_xi=wx,
             energy=boundary_max + bulk_integral,
-            radius=fit.rho, lyapunov=wh + wx))
+            radius=analyticity_radius(envelope_spectrum(state.h, state.xi)),
+            lyapunov=wh + wx))
     return records
 
 

@@ -233,10 +233,10 @@ def _rms(u: StripField) -> float:
     return float(np.sqrt(total / (grid.n_modes * grid.n_depth)))
 
 
-def discrete_laplacian(u: StripField, acc: int = 4) -> StripField:
-    """∂₁²u + ∂₂²u, ∂₂² by the FD stencil of the given order (oracle use)."""
+def discrete_laplacian(u: StripField) -> StripField:
+    """∂₁²u + ∂₂²u, ∂₂² by the fourth-order FD stencil (oracle use)."""
     return StripField(u.grid,
-                      dxx(u).coeffs + fd_derivative(u.coeffs, u.grid.dz, 2, acc))
+                      dxx(u).coeffs + fd_derivative(u.coeffs, u.grid.dz, 2))
 
 
 def _mixing_coefficients(dfs: list[np.ndarray], f: np.ndarray,
@@ -435,22 +435,23 @@ def second_trace_primary(bundle: GeometryBundle, xi: SpectrumField,
     return project(known / (1.0 + q22), b)
 
 
-def second_trace_kernel(g1: StripField, g2: StripField, acc: int = 4) -> SpectrumField:
-    """Cross-check route: (∇·g)|₀ with a one-sided FD stencil for ∂₂ĝ₂|₀."""
-    return dx(g1.trace()) + g2.deriv_z(1, acc=acc).trace()
+def second_trace_kernel(g1: StripField, g2: StripField) -> SpectrumField:
+    """Cross-check route: (∇·g)|₀ with a one-sided fourth-order FD stencil
+    for ∂₂ĝ₂|₀."""
+    return dx(g1.trace()) + g2.deriv_z(1).trace()
 
 
 # ---------------------------------------------------------------------------
 # independent residual oracle
 
 def ale_laplacian_residual(bundle: GeometryBundle, phi1: StripField,
-                           phi2: StripField, dzphi2: StripField,
-                           acc: int = 4) -> tuple[float, float]:
+                           phi2: StripField, dzphi2: StripField) -> tuple[float, float]:
     """FD-stencil residual of Δφ₂ + ∇·(Q∇φ) = 0 (per Piola this is J times
     the transformed Laplacian A^ℓ_j(A^k_jφ,_k),_ℓ).
 
     Returns (max residual, rms of ∇φ).  ∂₁ is spectral, all vertical
-    derivatives here use FD stencils, independent of the kernel quadrature.
+    derivatives here use fourth-order FD stencils, independent of the kernel
+    quadrature.
     """
     m = pad_size(bundle.grid.n_modes, 2)
     u1 = dx(phi1 + phi2)
@@ -459,8 +460,8 @@ def ale_laplacian_residual(bundle: GeometryBundle, phi1: StripField,
         [bundle.q11, bundle.q12, bundle.q22, u1, u2], m)
     f1, f2 = project_stack([q11v * u1v + q12v * u2v,
                             q12v * u1v + q22v * u2v], phi2)
-    lapl = discrete_laplacian(phi2, acc=acc)
-    div = dx(f1) + f2.deriv_z(1, acc=acc)
+    lapl = discrete_laplacian(phi2)
+    div = dx(f1) + f2.deriv_z(1)
     res = lapl + div
     interior = res.coeffs[:, 2:-2]     # edge stencil rows excluded
     grad_rms = max(_rms(u1), _rms(u2))

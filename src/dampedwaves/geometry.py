@@ -241,8 +241,9 @@ class GeometryBundle:
     Only Q²₂ is projected at build time, per depth block (_depth_blocks):
     a block of cap K samples δψ,₁ and δψ,₂ from their modes < K on 4K
     points and keeps Q²₂'s modes < K, so Q²₂'s entries at n·|x₂| >
-    ROUNDOFF_EXPONENT are exactly 0.  Q¹₁, Q¹₂, J and the A row are
-    derived on read.  A¹₁ ≡ 1 and A¹₂ ≡ 0 are not materialized.
+    ROUNDOFF_EXPONENT are exactly 0.  Q¹₁ and Q¹₂ are derived on read, the
+    A row only by identity_defect.  A¹₁ ≡ 1 and A¹₂ ≡ 0 are not
+    materialized.
     diffeo_margin is the minimum of J over the blocks' sampling grids.  By
     the maximum principle it lies on the top row, which the top block
     samples on the full pad_size(N, 3) grid; admissible states keep it
@@ -264,15 +265,8 @@ class GeometryBundle:
     def q12(self) -> StripField:     # Q¹₂ = Q²₁ = −δψ,₁
         return -self.dpsi1
 
-    @property
-    def a21(self) -> StripField:     # A²₁ = −δψ,₁ / J
-        return self._a_row()[0]
-
-    @property
-    def a22(self) -> StripField:     # A²₂ = 1 / J
-        return self._a_row()[1]
-
     def _a_row(self) -> list[StripField]:
+        """The A row (A²₁, A²₂) = (−δψ,₁, 1) / J."""
         d1, d2 = values_stack([self.dpsi1, self.dpsi2], pad_size(self.grid.n_modes, 3))
         j = 1.0 + d2
         return project_stack([-d1 / j, 1.0 / j], self.dpsi1)
@@ -319,13 +313,13 @@ def identity_defect(bundle: GeometryBundle) -> float:
     return float(max(np.max(np.abs(r21)), np.max(np.abs(r22))))
 
 
-def check_piola(bundle: GeometryBundle, acc: int = 4) -> float:
+def check_piola(bundle: GeometryBundle) -> float:
     """Max residual of Piola's identity (J A^k_i),_k = 0.
 
-    J A = [[J, 0], [−δψ,₁, 1]]; ∂₁ is spectral, ∂₂ uses an FD stencil of the
-    given order.  The i = 2 column is identically satisfied.
+    J A = [[J, 0], [−δψ,₁, 1]]; ∂₁ is spectral, ∂₂ uses the fourth-order FD
+    stencil.  The i = 2 column is identically satisfied.
     """
     dj_dx = dx(bundle.dpsi2)                # ∂₁ J = ∂₁ δψ,₂
-    d2_col = (-bundle.dpsi1).deriv_z(1, acc=acc)
+    d2_col = (-bundle.dpsi1).deriv_z(1)
     res = dj_dx + d2_col
     return float(np.max(np.abs(values_on_grid(res))))

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import poisson_divform
+from .errors import ConfigurationError
 from .evolution import ModelParams, StepOptions, run
 from .geometry import StripField, StripGrid, zero_strip
-from .norms import (NormSpec, check_composition, check_composition_corrected,
-                    check_interpolation, check_power_rule, check_product_rule,
-                    check_trace_inequality, check_zero_mean_interpolation,
-                    constant_k, strip_norm, wiener_norm)
+from .norms import (QUADRATURE_SLACK, NormSpec, check_composition,
+                    check_composition_corrected, check_interpolation,
+                    check_power_rule, check_product_rule, check_trace_inequality,
+                    check_zero_mean_interpolation, constant_k, strip_norm,
+                    wiener_norm)
 from .spectral import SpectrumField, _adopt, cosine, dx, lam, sine, zero_field
 
 
@@ -60,17 +62,17 @@ def random_boundary_field(rng: np.random.Generator, n_modes: int,
 
 
 def random_strip_field(rng: np.random.Generator, grid: StripGrid,
-                       max_mode: int, decay: float = 0.5,
-                       scale: float = 1.0) -> StripField:
+                       max_mode: int) -> StripField:
     """Mode-wise mixture of two decaying exponentials, rate >= max(1,|n|),
-    on the modes 0..max_mode (max_mode <= N/2 − 1)."""
+    on the modes 0..max_mode (max_mode <= N/2 − 1), amplitude decaying
+    like e^{−n/2}."""
     c = np.zeros((grid.n_modes // 2, grid.n_depth), dtype=np.complex128)
     z = grid.z
     for n in range(0, max_mode + 1):
         base = max(1.0, float(n))
         a1 = base * rng.uniform(0.9, 1.4)
         a2 = base * rng.uniform(1.4, 2.2)
-        amp = scale * rng.uniform(0.2, 1.0) * np.exp(-decay * n)
+        amp = rng.uniform(0.2, 1.0) * np.exp(-0.5 * n)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         coef = amp * np.exp(1j * phase)
         prof = 0.7 * np.exp(a1 * z) + 0.3 * np.exp(a2 * z)
@@ -84,14 +86,16 @@ def random_strip_field(rng: np.random.Generator, grid: StripGrid,
 _R_SET = (0.0, 1.0, 2.0)
 _S_SET = (0.0, 1.0, 2.0)
 _LAM_SET = (0.0, 0.3)
+_BOUNDARY_MODES = 32                                 # boundary-field trials
+_STRIP_GRID = StripGrid(16, depth=8.0, n_depth=257)  # strip-field trials
 
 
-def product_rule_trials(seed: int, trials: int, n_modes: int = 32) -> list[TrialRow]:
+def product_rule_trials(seed: int, trials: int) -> list[TrialRow]:
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(trials):
-        f = random_boundary_field(rng, n_modes, max_mode=10, zero_mean=False)
-        g = random_boundary_field(rng, n_modes, max_mode=10, zero_mean=False)
+        f = random_boundary_field(rng, _BOUNDARY_MODES, max_mode=10, zero_mean=False)
+        g = random_boundary_field(rng, _BOUNDARY_MODES, max_mode=10, zero_mean=False)
         r = _R_SET[i % 3]
         s = _S_SET[(i // 3) % 3]
         lam_ = _LAM_SET[i % 2]
@@ -101,11 +105,11 @@ def product_rule_trials(seed: int, trials: int, n_modes: int = 32) -> list[Trial
     return rows
 
 
-def power_rule_trials(seed: int, trials: int, n_modes: int = 32) -> list[TrialRow]:
+def power_rule_trials(seed: int, trials: int) -> list[TrialRow]:
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(trials):
-        v = random_boundary_field(rng, n_modes, max_mode=8, zero_mean=False,
+        v = random_boundary_field(rng, _BOUNDARY_MODES, max_mode=8, zero_mean=False,
                                   scale=rng.uniform(0.2, 2.0))
         r = _R_SET[i % 3]
         s = _S_SET[(i // 3) % 3]
@@ -117,7 +121,7 @@ def power_rule_trials(seed: int, trials: int, n_modes: int = 32) -> list[TrialRo
     return rows
 
 
-def interpolation_trials(seed: int, trials: int, n_modes: int = 32) -> list[TrialRow]:
+def interpolation_trials(seed: int, trials: int) -> list[TrialRow]:
     """Alternates the Hölder-in-s inequality and the zero-mean estimate."""
     rng = np.random.default_rng(seed)
     rows = []
@@ -125,7 +129,7 @@ def interpolation_trials(seed: int, trials: int, n_modes: int = 32) -> list[Tria
     for i in range(trials):
         lam_ = _LAM_SET[i % 2]
         if i % 2 == 0:
-            v = random_boundary_field(rng, n_modes, max_mode=10, zero_mean=False)
+            v = random_boundary_field(rng, _BOUNDARY_MODES, max_mode=10, zero_mean=False)
             theta = thetas[i % 3]
             s2 = rng.uniform(0.5, 3.0)
             rep = check_interpolation(v, 0.0, s2, theta, lam_)
@@ -133,7 +137,7 @@ def interpolation_trials(seed: int, trials: int, n_modes: int = 32) -> list[Tria
                                  rep.lhs, rep.rhs, rep.constant_used,
                                  rep.margin, rep.holds))
         else:
-            f = random_boundary_field(rng, n_modes, max_mode=10, zero_mean=True)
+            f = random_boundary_field(rng, _BOUNDARY_MODES, max_mode=10, zero_mean=True)
             s = float(rng.choice((0.5, 1.0, 2.0)))
             rep = check_zero_mean_interpolation(f, s, lam_)
             rows.append(TrialRow("interpolation_zero_mean", i, 0.0, s, lam_, 0,
@@ -142,8 +146,7 @@ def interpolation_trials(seed: int, trials: int, n_modes: int = 32) -> list[Tria
     return rows
 
 
-def composition_trials(seed: int, trials: int, n_modes: int = 32,
-                       corrected: bool = False) -> list[TrialRow]:
+def composition_trials(seed: int, trials: int, corrected: bool = False) -> list[TrialRow]:
     """Composition-bound trials over the full admissible ball.
 
     With corrected=False this is the literal Lemma-A.2 constant, which is
@@ -158,7 +161,7 @@ def composition_trials(seed: int, trials: int, n_modes: int = 32,
     for i in range(trials):
         s = _S_SET[i % 3]
         lam_ = _LAM_SET[i % 2]
-        v = random_boundary_field(rng, n_modes, max_mode=8, zero_mean=False)
+        v = random_boundary_field(rng, _BOUNDARY_MODES, max_mode=8, zero_mean=False)
         # rescale into the admissibility ball |v|_{0,λ} < min(1, 1/k_s)
         limit = min(1.0, 1.0 / constant_k(s))
         v0 = wiener_norm(v, NormSpec(0.0, lam_))
@@ -169,13 +172,11 @@ def composition_trials(seed: int, trials: int, n_modes: int = 32,
     return rows
 
 
-def trace_trials(seed: int, trials: int, n_modes: int = 16,
-                 n_depth: int = 257, depth: float = 8.0) -> list[TrialRow]:
+def trace_trials(seed: int, trials: int) -> list[TrialRow]:
     rng = np.random.default_rng(seed)
-    grid = StripGrid(n_modes, depth=depth, n_depth=n_depth)
     rows = []
     for i in range(trials):
-        u = random_strip_field(rng, grid, max_mode=6)
+        u = random_strip_field(rng, _STRIP_GRID, max_mode=6)
         s = _S_SET[i % 3]
         lam_ = (0.0, 0.2)[i % 2]
         rep = check_trace_inequality(u, s, lam_)
@@ -209,23 +210,23 @@ def gradient_strip_norms(u1: StripField, u2: StripField, r: float,
     return strip_norm(lam(u1, r), spec) + strip_norm(lam(u2, r), spec)
 
 
-def elliptic_bound_trials(seed: int, n_samples: int, n_modes: int = 16,
-                          n_depth: int = 257, depth: float = 8.0,
-                          slack: float = 1e-6) -> list[TrialRow]:
+def elliptic_bound_trials(seed: int, n_samples: int) -> list[TrialRow]:
     """Both constant-explicit solver estimates on random band-limited data.
 
     First family: ‖Λʳ∇φ‖_{s,1,λ} <= 12‖Λʳg‖_{s,1,λ}, r,s ∈ {0,1,2}, λ ∈ {0,0.2}.
     Second family: ‖∇φ‖_{s,2,λ} <= 12‖Λg‖_{s,1,λ} + 4‖g‖_{s,2,λ}.
+    Both hold up to the relative slack QUADRATURE_SLACK of the depth
+    quadrature.
     """
     rng = np.random.default_rng(seed)
-    grid = StripGrid(n_modes, depth=depth, n_depth=n_depth)
+    grid = _STRIP_GRID
     rows = []
     lam_set = (0.0, 0.2)
     for i in range(n_samples):
         g1 = random_strip_field(rng, grid, max_mode=6)
         g2 = random_strip_field(rng, grid, max_mode=6)
         # the construction tail of the ensemble is e^{-depth}; not a flux defect
-        sol = poisson_divform(g1, g2, tail_tol=10.0 * np.exp(-depth))
+        sol = poisson_divform(g1, g2, tail_tol=10.0 * np.exp(-grid.depth))
         u1 = dx(sol.phi)
         u2 = sol.dzphi
         r = _R_SET[i % 3]
@@ -235,25 +236,24 @@ def elliptic_bound_trials(seed: int, n_samples: int, n_modes: int = 16,
         lhs = gradient_strip_norms(u1, u2, r, spec1)
         rhs = 12.0 * gradient_strip_norms(g1, g2, r, spec1)
         rows.append(TrialRow("solver_grad_k1", i, r, s, lam_, 0, lhs, rhs, 12.0,
-                             rhs - lhs, lhs <= rhs * (1 + slack)))
+                             rhs - lhs, lhs <= rhs * (1 + QUADRATURE_SLACK)))
         spec2 = NormSpec(s, lam_, k=2)
         lhs2 = gradient_strip_norms(u1, u2, 0.0, spec2)
         rhs2 = (12.0 * gradient_strip_norms(g1, g2, 1.0, spec1) +
                 4.0 * gradient_strip_norms(g1, g2, 0.0, spec2))
         rows.append(TrialRow("solver_grad_k2", i, 0.0, s, lam_, 0, lhs2, rhs2, 12.0,
-                             rhs2 - lhs2, lhs2 <= rhs2 * (1 + slack)))
+                             rhs2 - lhs2, lhs2 <= rhs2 * (1 + QUADRATURE_SLACK)))
     return rows
 
 
 def manufactured_solution_errors(n_depths: tuple[int, ...] = (128, 256, 512),
-                                 depth: float = 8.0,
-                                 n_modes: int = 8) -> list[tuple[int, float]]:
+                                 depth: float = 8.0) -> list[tuple[int, float]]:
     """Max error of the solver against φ = x₂e^{x₂}cos x₁ for g = (0, 2e^{x₂}cos x₁)."""
     out = []
     for nz in n_depths:
-        grid = StripGrid(n_modes, depth=depth, n_depth=nz)
+        grid = StripGrid(8, depth=depth, n_depth=nz)
         prof = np.exp(grid.z)
-        c2 = np.zeros((n_modes // 2, nz), dtype=np.complex128)
+        c2 = np.zeros((grid.n_modes // 2, nz), dtype=np.complex128)
         c2[1, :] = prof
         # the forcing's tail at depth is e^{-depth} by construction
         sol = poisson_divform(zero_strip(grid), StripField(grid, c2),
@@ -281,23 +281,27 @@ def linear_exponential(k: int, alpha: float, t: float) -> np.ndarray:
 
 
 def linear_fidelity(alpha: float, ks: tuple[int, ...], dt: float,
-                    t_final: float, delta: float = 1e-8, n_modes: int = 8,
-                    n_depth: int = 48, depth: float = 8.0,
-                    record_every: int = 100) -> dict[int, float]:
+                    t_final: float) -> dict[int, float]:
     """Max deviation (relative to δ) of the simulated modes from exp(tM(k)).
 
-    One simulation seeds every requested mode at amplitude δ and runs the
-    full nonlinear path; the reference is the closed-form exponential
-    `linear_exponential`.
+    One simulation on 8 modes × 48 depth nodes seeds every requested mode
+    at amplitude δ = 1e-8, runs the full nonlinear path and records every
+    100 steps; the reference is the closed-form exponential
+    `linear_exponential`.  Raises ConfigurationError for a mode outside
+    1..3.
     """
-    grid = StripGrid(n_modes, depth=depth, n_depth=n_depth)
-    h0 = zero_field(n_modes)
-    xi0 = zero_field(n_modes)
+    delta = 1e-8
+    grid = StripGrid(8, depth=8.0, n_depth=48)
+    if not all(1 <= k < grid.n_modes // 2 for k in ks):
+        raise ConfigurationError(
+            f"modes must lie in 1..{grid.n_modes // 2 - 1}, got {list(ks)}")
+    h0 = zero_field(grid.n_modes)
+    xi0 = zero_field(grid.n_modes)
     for k in ks:
-        h0 = h0 + cosine(k, delta, n_modes)
-        xi0 = xi0 + sine(k, delta, n_modes)
+        h0 = h0 + cosine(k, delta, grid.n_modes)
+        xi0 = xi0 + sine(k, delta, grid.n_modes)
     params = ModelParams(alpha=alpha, epsilon=1.0)
-    traj = run(h0, xi0, params, grid, dt, t_final, record_every=record_every,
+    traj = run(h0, xi0, params, grid, dt, t_final, record_every=100,
                opts=StepOptions.for_dt(dt))
     errs = {k: 0.0 for k in ks}
     for k in ks:

@@ -12,7 +12,8 @@ exact for harmonic-extension-type fields).
 
 The check_* functions turn the product rule, power rule, interpolation,
 composition and trace inequalities into InequalityReport values with the
-explicit constants 𝓀_q and K_{r,s,n}.
+explicit constants 𝓀_q and K_{r,s,n}, at the relative slack DEFAULT_SLACK
+(QUADRATURE_SLACK for the trace inequality, which integrates in depth).
 """
 
 from __future__ import annotations
@@ -133,25 +134,18 @@ def constant_K(r: float, s: float, n: int) -> float:
 # composition with G(x) = x/(1+x)
 
 def compose_G(v: SpectrumField) -> SpectrumField:
-    """Pointwise x/(1+x), evaluated in physical space and re-projected."""
+    """Pointwise x/(1+x), evaluated in physical space and re-projected;
+    raises SingularityError where a sample of 1 + x is <= 0."""
+    guard = reciprocal_guard()
     return pointwise_apply(lambda x: x / (1.0 + x), v,
-                           guard=reciprocal_guard_shifted())
-
-
-def reciprocal_guard_shifted(threshold: float = 0.0):
-    base = reciprocal_guard(threshold)
-
-    def _guard(values: np.ndarray, *rest: np.ndarray) -> None:
-        base(1.0 + values, *rest)
-
-    return _guard
+                           guard=lambda x: guard(1.0 + x))
 
 
 # ---------------------------------------------------------------------------
 # lemma suite
 
 def check_product_rule(f: SpectrumField, g: SpectrumField, r: float, s: float,
-                       lam_: float, slack: float = DEFAULT_SLACK) -> InequalityReport:
+                       lam_: float) -> InequalityReport:
     """|Λʳ(fg)|_{s,λ} <= 𝓀_s𝓀_r (|f|_{0,λ}|Λʳg|_{s,λ} + |Λʳf|_{s,λ}|g|_{0,λ}).
 
     At r = s = 0 the improved algebra bound |fg|_{0,λ} <= |f|_{0,λ}|g|_{0,λ}
@@ -161,25 +155,25 @@ def check_product_rule(f: SpectrumField, g: SpectrumField, r: float, s: float,
     zero = NormSpec(0.0, lam_)
     if r == 0.0 and s == 0.0:
         rhs = wiener_norm(f, zero) * wiener_norm(g, zero)
-        return InequalityReport.compare(lhs, rhs, 1.0, slack)
+        return InequalityReport.compare(lhs, rhs, 1.0)
     c = constant_k(s) * constant_k(r)
     rhs = c * (wiener_norm(f, zero) * wiener_norm(lam(g, r), NormSpec(s, lam_)) +
                wiener_norm(lam(f, r), NormSpec(s, lam_)) * wiener_norm(g, zero))
-    return InequalityReport.compare(lhs, rhs, c, slack)
+    return InequalityReport.compare(lhs, rhs, c)
 
 
-def check_power_rule(v: SpectrumField, r: float, s: float, lam_: float, n: int,
-                     slack: float = DEFAULT_SLACK) -> InequalityReport:
+def check_power_rule(v: SpectrumField, r: float, s: float, lam_: float,
+                     n: int) -> InequalityReport:
     """|Λʳ(vⁿ)|_{s,λ} <= K_{r,s,n} |v|_{0,λ}^{n−1} |Λʳv|_{s,λ}."""
     c = constant_K(r, s, n)
     lhs = wiener_norm(lam(pointwise_power(v, n), r), NormSpec(s, lam_))
     rhs = c * wiener_norm(v, NormSpec(0.0, lam_)) ** (n - 1) * \
         wiener_norm(lam(v, r), NormSpec(s, lam_))
-    return InequalityReport.compare(lhs, rhs, c, slack)
+    return InequalityReport.compare(lhs, rhs, c)
 
 
 def check_interpolation(v: SpectrumField, s1: float, s2: float, theta: float,
-                        lam_: float, slack: float = DEFAULT_SLACK) -> InequalityReport:
+                        lam_: float) -> InequalityReport:
     """|v|_{sθ,λ} <= |v|_{s1,λ}^θ |v|_{s2,λ}^{1−θ} with sθ = θs1 + (1−θ)s2."""
     if not 0.0 <= theta <= 1.0 or s1 > s2:
         raise ConfigurationError("need 0 <= theta <= 1 and s1 <= s2")
@@ -187,11 +181,11 @@ def check_interpolation(v: SpectrumField, s1: float, s2: float, theta: float,
     lhs = wiener_norm(v, NormSpec(s_theta, lam_))
     rhs = wiener_norm(v, NormSpec(s1, lam_)) ** theta * \
         wiener_norm(v, NormSpec(s2, lam_)) ** (1.0 - theta)
-    return InequalityReport.compare(lhs, rhs, 1.0, slack)
+    return InequalityReport.compare(lhs, rhs, 1.0)
 
 
-def check_zero_mean_interpolation(f: SpectrumField, s: float, lam_: float,
-                                  slack: float = DEFAULT_SLACK) -> InequalityReport:
+def check_zero_mean_interpolation(f: SpectrumField, s: float,
+                                  lam_: float) -> InequalityReport:
     """|f|_{s,λ} <= 2^{1+s/(s+1)} |f|_{0,λ}^{1/(s+1)} |Λf|_{s,λ}^{s/(s+1)} (zero mean)."""
     scale = np.max(np.abs(f.coeffs), initial=0.0)
     if scale > 0 and abs(f.coeffs[0]) > 1e-12 * scale:
@@ -200,11 +194,10 @@ def check_zero_mean_interpolation(f: SpectrumField, s: float, lam_: float,
     lhs = wiener_norm(f, NormSpec(s, lam_))
     rhs = c * wiener_norm(f, NormSpec(0.0, lam_)) ** (1.0 / (s + 1.0)) * \
         wiener_norm(lam(f), NormSpec(s, lam_)) ** (s / (s + 1.0))
-    return InequalityReport.compare(lhs, rhs, c, slack)
+    return InequalityReport.compare(lhs, rhs, c)
 
 
-def check_composition(v: SpectrumField, s: float, lam_: float,
-                      slack: float = DEFAULT_SLACK) -> InequalityReport:
+def check_composition(v: SpectrumField, s: float, lam_: float) -> InequalityReport:
     """|G∘v|_{s,λ} <= |v|_{s,λ} / (1 − 𝓀_s|v|_{0,λ}) for |v|_{0,λ} < min(1, 1/𝓀_s)."""
     ks = constant_k(s)
     v0 = wiener_norm(v, NormSpec(0.0, lam_))
@@ -213,11 +206,11 @@ def check_composition(v: SpectrumField, s: float, lam_: float,
             f"composition bound needs |v|_0,λ < min(1, 1/k_s); got {v0:.3f}")
     lhs = wiener_norm(compose_G(v), NormSpec(s, lam_))
     rhs = wiener_norm(v, NormSpec(s, lam_)) / (1.0 - ks * v0)
-    return InequalityReport.compare(lhs, rhs, ks, slack)
+    return InequalityReport.compare(lhs, rhs, ks)
 
 
-def check_composition_corrected(v: SpectrumField, s: float, lam_: float,
-                                slack: float = DEFAULT_SLACK) -> InequalityReport:
+def check_composition_corrected(v: SpectrumField, s: float,
+                                lam_: float) -> InequalityReport:
     """|G∘v|_{s,λ} <= |v|_{s,λ} / [(1 − 𝓀_s|v|₀,λ)(1 − |v|₀,λ)].
 
     The extra (1 − |v|₀,λ) factor follows from summing the alternating series
@@ -233,12 +226,11 @@ def check_composition_corrected(v: SpectrumField, s: float, lam_: float,
             f"composition bound needs |v|_0,λ < min(1, 1/k_s); got {v0:.3f}")
     lhs = wiener_norm(compose_G(v), NormSpec(s, lam_))
     rhs = wiener_norm(v, NormSpec(s, lam_)) / ((1.0 - ks * v0) * (1.0 - v0))
-    return InequalityReport.compare(lhs, rhs, ks, slack)
+    return InequalityReport.compare(lhs, rhs, ks)
 
 
-def check_trace_inequality(u: StripField, s: float, lam_: float,
-                           slack: float = QUADRATURE_SLACK) -> InequalityReport:
+def check_trace_inequality(u: StripField, s: float, lam_: float) -> InequalityReport:
     """|u|_{x₂=0}|_{s,λ} <= ‖u‖_{s,k=1,λ} (continuity of the trace)."""
     lhs = wiener_norm(u.trace(), NormSpec(s, lam_))
     rhs = strip_norm(u, NormSpec(s, lam_, k=1))
-    return InequalityReport.compare(lhs, rhs, 1.0, slack)
+    return InequalityReport.compare(lhs, rhs, 1.0, QUADRATURE_SLACK)

@@ -241,7 +241,7 @@ def _symbol_values(symbol: Callable[[np.ndarray], np.ndarray],
 
 # symbols of the fixed multipliers below, as functions of (modes, parameter)
 _SYMBOLS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
-    "lam": lambda n, r: n.astype(float) if r == 1.0 else np.power(n.astype(float), r),
+    "lam": lambda n, r: np.power(n.astype(float), r),
     "dx": lambda n, _: 1j * n,
     "dxx": lambda n, _: -(n.astype(float) ** 2),
     "mollify": lambda n, kappa: np.exp(-kappa * n.astype(float) ** 2),

@@ -52,6 +52,13 @@ def linear_rhs(u: np.ndarray, modes: np.ndarray, alpha: float,
     return np.array([-a * u[0] - heat * u[1], b * u[0] - a * u[1]])
 
 
+def boundary_a_minus_identity(b: SpectrumField) -> list[SpectrumField]:
+    """The nonzero entries (A²₁, A²₂ − 1) of A − Id at x₂ = 0 for the
+    flattening built from b: −b,₁/(1+Λb) and −Λb/(1+Λb)."""
+    d1, d2 = values_stack([dx(b), lam(b)], pad_size(b.n_modes, 4))
+    return project_stack([-d1 / (1.0 + d2), -d2 / (1.0 + d2)], b)
+
+
 def check_A_deviation(b: SpectrumField, s: float, lam_: float,
                       cap: float = 4.0) -> tuple[InequalityReport, float]:
     """|A(t)−Id|_{s,λ} <= C(s)|Λb|_{s,λ} at the boundary, with empirical C.
@@ -60,8 +67,7 @@ def check_A_deviation(b: SpectrumField, s: float, lam_: float,
     the matrix norm is the sum of entry norms.  Returns the report against
     the configured cap and the measured constant.
     """
-    d1, d2 = values_stack([dx(b), lam(b)], pad_size(b.n_modes, 4))
-    a21, a22 = project_stack([-d1 / (1.0 + d2), -d2 / (1.0 + d2)], b)
+    a21, a22 = boundary_a_minus_identity(b)
     spec = NormSpec(s, lam_)
     lhs = wiener_norm(a21, spec) + wiener_norm(a22, spec)
     denom = wiener_norm(lam(b), spec)

@@ -341,11 +341,12 @@ preset = zero
     @pytest.mark.parametrize("h_modes, margin", [("1:0.5", 0.1), ("1:0.95", 0.01)])
     def test_linear_only_run_solves_no_elliptic_problem(self, tmp_path, monkeypatch,
                                                         h_modes, margin):
-        # at ε = 0 the strip is flat whatever h is: the stepper solves nothing
-        # and the records solve the flat strip, so neither the Picard stall of
+        # at ε = 0 the strip is flat whatever h is: neither the stepper nor the
+        # records solve anything (φ₂ = 0), so neither the Picard stall of
         # h = 0.5 at ε = 1 nor min J = 0.05 at h = 0.95 can stop the run
         monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
         monkeypatch.setattr(ev, "solve_phi2", None)
+        monkeypatch.setattr(dg, "solve_phi2", None)
         text = f"""
 [model]
 alpha = 3.0
@@ -384,6 +385,30 @@ record_every = 1
         lines = (out / "linear_validate.csv").read_text().splitlines()
         assert lines[0] == "# dampedwaves-linear-v1"
         assert len(lines) == 2 + 3
+
+    @pytest.mark.parametrize("argv", [
+        ("linear-validate", "--modes", "5"),
+        ("linear-validate", "--modes", "0,1"),
+        ("linear-validate", "--modes", "1,x"),
+        ("linear-validate", "--dt", "0"),
+        ("linear-validate", "--dt", "-0.001"),
+        ("linear-validate", "--t-final", "-1"),
+        ("lint-inequalities", "--trials", "0"),
+        ("lint-inequalities", "--trials", "-1"),
+        ("elliptic-validate", "--trials", "0"),
+    ], ids=["modes_above_3", "mode_0", "modes_not_integers", "dt_zero", "dt_negative",
+            "t_final_negative", "lint_trials_zero", "lint_trials_negative",
+            "elliptic_trials_zero"])
+    def test_invalid_validate_argument_is_a_config_error(self, tmp_path, monkeypatch,
+                                                         capsys, argv):
+        # exit 2 before anything runs or is written, not a traceback (exit 1 is
+        # FAIL) and not a PASS over no trials
+        monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--output-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "config error: " in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_lint_inequalities(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DAMPEDWAVES_OUTDIR", raising=False)

@@ -8,7 +8,7 @@ from dampedwaves import spectral as sp
 from dampedwaves.config import initial_data, parse_config
 from dampedwaves.errors import ConfigurationError, DiffeomorphismError
 from dampedwaves.harness import random_boundary_field, random_strip_field
-from oracles import full_band_geometry
+from oracles import boundary_a_minus_identity, full_band_geometry
 
 
 def laplacian_residual(field: geo.StripField, acc: int = 4) -> float:
@@ -69,19 +69,20 @@ class TestGeometryBundle:
         assert np.max(np.abs(b.q11.coeffs)) == 0.0
         assert np.max(np.abs(b.q12.coeffs)) == 0.0
         assert np.max(np.abs(b.q22.coeffs)) == 0.0
-        a22 = sp.values_on_grid(b.a22)
-        assert np.max(np.abs(a22 - 1.0)) < 1e-14
+        # flat: A = Id, so A·∇ψ = Id reads A²₁ = 0 and A²₂ = 1
+        assert geo.identity_defect(b) < 1e-14
 
     def test_hand_values_at_origin(self):
         # h = 0.1 cos x₁ at (x₁, x₂) = (0, 0): J = 1.1, A²₂ = 1/1.1, A²₁ = 0
         grid = geo.StripGrid(64, depth=8.0, n_depth=129)
         b = geo.build_geometry(sp.cosine(1, 0.1, 64), grid)
         jv = 1.0 + sp.values_on_grid(b.dpsi2)       # J = 1 + δψ,₂
-        a22 = sp.values_on_grid(b.a22)
-        a21 = sp.values_on_grid(b.a21)
+        a21, a22_minus_1 = (sp.values_on_grid(a)
+                            for a in boundary_a_minus_identity(b.boundary))
         assert jv[0, -1] == pytest.approx(1.1, rel=1e-12)
-        assert a22[0, -1] == pytest.approx(1.0 / 1.1, rel=1e-10)
-        assert abs(a21[0, -1]) < 1e-12
+        assert 1.0 + a22_minus_1[0] == pytest.approx(1.0 / 1.1, rel=1e-10)
+        assert abs(a21[0]) < 1e-12
+        assert geo.identity_defect(b) <= 1e-10
 
     def test_q11_is_vertical_derivative(self):
         grid = geo.StripGrid(32, depth=8.0, n_depth=65)
