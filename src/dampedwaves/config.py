@@ -65,6 +65,9 @@ class RunConfig:
         if self.picard_max_iter < 1:
             raise ConfigurationError(
                 f"picard_max_iter must be >= 1, got {self.picard_max_iter}")
+        if not 0.0 <= self.margin_min < 1.0:    # min J <= 1: Λb has zero mean
+            raise ConfigurationError(
+                f"margin_min must be in [0, 1), got {self.margin_min}")
         if self.record_every < 1:
             raise ConfigurationError(
                 f"record_every must be >= 1, got {self.record_every}")

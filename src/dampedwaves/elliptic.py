@@ -26,14 +26,14 @@ integration of ∂₂g₂.
 
 Every field of a sweep is built from harmonic extensions, so mode n of the
 forcing at depth x₂ is of size e^{n·x₂} against its top value.  The sweep
-therefore forms g = −Q∇(φ₁+φ₂) in the depth blocks in which
-geometry.build_geometry builds Q²₂ (geometry._depth_blocks): a block keeps
-the modes below its cap K and transforms on 3K points, and it drops mode n
-at depth x₂ only where n·|x₂| > geometry.ROUNDOFF_EXPONENT = 42, a relative
-size under e^{−42} ≈ 6e-19, far below one ulp of the largest entry.  The
-Poisson kernels are bounded by 1, so the dropped entries move φ₂ by no
-more than round-off; a grid whose rows all keep N/2 modes sweeps in one
-block, bitwise as a full-band sweep.
+therefore forms g = −Q∇(φ₁+φ₂) in the depth blocks of GeometryBundle.neg_q
+(geometry._depth_blocks): a block keeps the modes below its cap K and
+multiplies on 3K points, and it drops mode n at depth x₂ only where
+n·|x₂| > geometry.ROUNDOFF_EXPONENT = 42, a relative size under
+e^{−42} ≈ 6e-19, far below one ulp of the largest entry.  The Poisson
+kernels are bounded by 1, so the dropped entries move φ₂ by no more than
+round-off; a grid whose rows all keep N/2 modes sweeps in one block,
+bitwise as a full-band sweep.
 
 A solve starts from a given (φ₂, ∂₂φ₂): the stepper hands each solve the
 solution of a nearby state, so that a warm solve takes about one sweep.
@@ -49,9 +49,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, ContractionError
-from .geometry import (GeometryBundle, StripField, StripGrid, _depth_blocks,
-                       block_values, extension_profile, fd_derivative,
-                       harmonic_extension, zero_strip)
+from .geometry import (GeometryBundle, StripField, StripGrid, extension_profile,
+                       fd_derivative, harmonic_extension, zero_strip)
 from .norms import NormSpec, strip_norm
 from .spectral import (SpectrumField, _fixed_symbol, dx, dxx, lam,
                        mode_multiplicity, pad_size, project, project_stack,
@@ -269,20 +268,18 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     differences (see _mixing_coefficients); a singular fit falls back to the
     plain P(φ₂) for that sweep.  Every sweep is one poisson_divform call.
 
-    The sweeps share one workspace, allocated per solve, per depth block
-    (geometry._depth_blocks, the blocks of the bundle's Q²₂) of cap K: −Q
-    from its modes < K on the block's rows, sampled once on
-    pad_size(2K, 2) = 3K points by geometry.block_values; one zero-padded
-    half-spectrum buffer, into which a sweep writes ∂₁(φ₁+φ₂) and
-    ∂₂(φ₁+φ₂) of the modes < K and its rfft writes g₁, g₂; the samples,
-    turned into g in place; and two scratch planes.  Each block places its
-    modes < K in one (2, N/2, N_z) forcing, zeroed once per solve so that
-    the dropped entries stay exactly 0, which poisson_divform reads through
-    field views without a copy.  A dropped (n, x₂) has n·|x₂| >
-    ROUNDOFF_EXPONENT, so the blocks move the result by round-off only (see
-    the module docstring).  The arithmetic of a block is that of
-    values_stack, the pointwise products and project_stack, in the same
-    order, so a one-block sweep is bitwise the same.
+    The sweeps multiply by bundle.neg_q as it is, and share one workspace,
+    allocated per solve, per depth block of cap K: one half-spectrum buffer,
+    into which a sweep writes ∂₁(φ₁+φ₂) and ∂₂(φ₁+φ₂) of the modes < K,
+    zero-padded, and its rfft writes g₁, g₂; the samples, turned into g in
+    place; and two scratch planes.  Each block places its modes < K in one
+    (2, N/2, N_z) forcing, zeroed once per solve so that the dropped entries
+    stay exactly 0, which poisson_divform reads through field views without
+    a copy.  A dropped (n, x₂) has n·|x₂| > ROUNDOFF_EXPONENT, so the blocks
+    move the result by round-off only (see the module docstring).  The
+    arithmetic of a block is that of values_stack, the pointwise products
+    and project_stack, in the same order, so a one-block sweep is bitwise
+    the same.
 
     Stops when the successive-iterate change P(φ₂) − φ₂ in the k=0 strip norm
     falls below tol and returns the last P(φ₂).  Raises ContractionError when
@@ -303,14 +300,12 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     forcing = np.zeros((2, k, grid.n_depth), dtype=np.complex128)
     g1v, g2v = phi1._like(forcing[0]), phi1._like(forcing[1])
     blocks = []
-    for lo, hi, cap in _depth_blocks(grid):
-        # the block's half spectra, depth-major (rows, m/2+1) like the
-        # transforms' lines: −Q once, then per sweep ∂₁(φ₁+φ₂), ∂₂(φ₁+φ₂) in
-        # and g₁, g₂ out; −(a·b + c·d) = (−a)·b + (−c)·d exactly
-        spec, nq = block_values((bundle.q11, bundle.q12, bundle.q22), lo, hi, cap, 2)
-        np.negative(nq, out=nq)
-        blocks.append((lo, hi, cap, nq, spec[:2], np.empty((2, *nq.shape[1:])),
-                       np.empty((2, *nq.shape[1:]))))
+    for lo, hi, cap, nq in bundle.neg_q:
+        # half spectra depth-major (rows, m/2+1), like the transforms' lines
+        rows, m = nq[0].shape
+        blocks.append((lo, hi, cap, nq,
+                       np.empty((2, rows, m // 2 + 1), dtype=np.complex128),
+                       np.empty((2, rows, m)), np.empty((2, rows, m))))
 
     phi2, dz2 = start if start is not None else (zero_strip(grid),) * 2
     out_phi, out_dz = phi2, dz2

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DiffeomorphismError
 from .spectral import (RealField, SpectrumField, _adopt, _check_n_modes, dx,
-                       lam, pad_size, project_stack, stored_modes, values_on_grid,
-                       values_stack)
+                       lam, pad_size, project, project_stack, stored_modes,
+                       values_on_grid, values_stack)
 
 
 @dataclass(frozen=True)
@@ -200,13 +200,12 @@ ROUNDOFF_EXPONENT = 42.0    # a block drops mode n at depth z only where n·|z| 
 @lru_cache(maxsize=16)
 def _depth_blocks(grid: StripGrid) -> tuple[tuple[int, int, int], ...]:
     """Contiguous depth-row blocks (start, stop, K), bottom up, that cover
-    the rows: a block's pointwise products (Q²₂ in build_geometry, the
-    forcing of a φ₂ sweep) keep the modes 0..K−1.  Each row takes the
-    smallest cap K of N/2, N/4, … (K >= 4) with K·|z| > ROUNDOFF_EXPONENT,
-    and N/2 when there is none, so every dropped (n, z) has
-    n·|z| > ROUNDOFF_EXPONENT and the caps grow towards the top.
+    the rows: a block's sweep fluxes −Q∇(φ₁+φ₂) keep the modes 0..K−1.
+    Each row takes the smallest cap K of N/2, N/4, … (K >= 4) with
+    K·|z| > ROUNDOFF_EXPONENT, and N/2 when there is none, so every dropped
+    (n, z) has n·|z| > ROUNDOFF_EXPONENT and the caps grow towards the top.
 
-    Every such product is built from harmonic extensions, so its mode n at
+    Every such flux is built from harmonic extensions, so its mode n at
     depth z is of size e^{n·z} against its top value: a dropped entry is
     under e^{−42} of the largest, far below its ulp."""
     depth = -grid.z
@@ -219,42 +218,38 @@ def _depth_blocks(grid: StripGrid) -> tuple[tuple[int, int, int], ...]:
     return tuple((lo, hi, int(cap[lo])) for lo, hi in zip(edges[:-1], edges[1:]))
 
 
-def block_values(fields: Sequence[StripField], lo: int, hi: int, cap: int,
-                 degree: int) -> tuple[np.ndarray, np.ndarray]:
+def block_values(fields: Sequence[StripField], lo: int, hi: int, cap: int) -> np.ndarray:
     """Samples of the depth rows lo:hi of strip fields from their modes
-    0..cap−1, on the m = pad_size(2·cap, degree) grid of a product of that
-    degree in such fields: (half, values), the zero-padded half spectra
-    (len(fields), hi − lo, m/2 + 1) and the real samples (len(fields),
-    hi − lo, m), depth-major.  With cap = N/2 every row's samples are those
-    of values_stack at pad_size(N, degree), bit for bit."""
-    m = pad_size(2 * cap, degree)
+    0..cap−1 on the m = pad_size(2·cap, 2) grid of a product of two such
+    fields: shape (len(fields), hi − lo, m), depth-major.  With cap = N/2
+    every row's samples are those of values_stack at pad_size(N, 2), bit
+    for bit."""
+    m = pad_size(2 * cap, 2)
     half = np.zeros((len(fields), hi - lo, m // 2 + 1), dtype=np.complex128)
     for plane, f in zip(half, fields):
         plane[:, :cap] = f.coeffs[:cap, lo:hi].T
-    return half, np.fft.irfft(half, n=m, axis=-1, norm="forward")
+    return np.fft.irfft(half, n=m, axis=-1, norm="forward")
 
 
 @dataclass(frozen=True)
 class GeometryBundle:
     """δψ's derivatives and the tensors J, A, Q = JAAᵀ − Id of one interface.
 
-    Only Q²₂ is projected at build time, per depth block (_depth_blocks):
-    a block of cap K samples δψ,₁ and δψ,₂ from their modes < K on 4K
-    points and keeps Q²₂'s modes < K, so Q²₂'s entries at n·|x₂| >
-    ROUNDOFF_EXPONENT are exactly 0.  Q¹₁ and Q¹₂ are derived on read, the
-    A row only by identity_defect.  A¹₁ ≡ 1 and A¹₂ ≡ 0 are not
-    materialized.
-    diffeo_margin is the minimum of J over the blocks' sampling grids.  By
-    the maximum principle it lies on the top row, which the top block
-    samples on the full pad_size(N, 3) grid; admissible states keep it
-    positive.
+    neg_q is the φ₂ sweep's −Q: per depth block (lo, hi, K) of _depth_blocks,
+    the samples (hi − lo, pad_size(2K, 2)) of −Q¹₁ = −δψ,₂, −Q¹₂ = δψ,₁ and
+    −Q²₂ = (δψ,₂ − (δψ,₁)²)/J from δψ's modes < K (block_values).  Q¹₁, Q¹₂
+    and the full-band Q²₂ (the FD oracle's) are derived on read, the A row
+    only by identity_defect; A¹₁ ≡ 1 and A¹₂ ≡ 0 are not materialized.
+    diffeo_margin (> 0 on admissible states) is min J on the top row's
+    pad_size(N, 3) samples: J − 1 = δψ,₂ is harmonic and decays with depth,
+    so by the maximum principle its minimum over the strip lies there.
     """
 
     grid: StripGrid
     boundary: SpectrumField          # the trace the flattening was built from
     dpsi1: StripField                # δψ,₁
     dpsi2: StripField                # δψ,₂  (= J − 1, analytic)
-    q22: StripField                  # Q²₂ = ((δψ,₁)² − δψ,₂)/J
+    neg_q: tuple[tuple[int, int, int, tuple[np.ndarray, ...]], ...]
     diffeo_margin: float
 
     @property
@@ -265,11 +260,11 @@ class GeometryBundle:
     def q12(self) -> StripField:     # Q¹₂ = Q²₁ = −δψ,₁
         return -self.dpsi1
 
-    def _a_row(self) -> list[StripField]:
-        """The A row (A²₁, A²₂) = (−δψ,₁, 1) / J."""
+    @property
+    def q22(self) -> StripField:
+        """Q²₂ = ((δψ,₁)² − δψ,₂)/J on all N/2 modes, sampled as degree 3."""
         d1, d2 = values_stack([self.dpsi1, self.dpsi2], pad_size(self.grid.n_modes, 3))
-        j = 1.0 + d2
-        return project_stack([-d1 / j, 1.0 / j], self.dpsi1)
+        return project((d1 * d1 - d2) / (1.0 + d2), self.dpsi1)
 
 
 def build_geometry(h: SpectrumField, grid: StripGrid,
@@ -277,27 +272,24 @@ def build_geometry(h: SpectrumField, grid: StripGrid,
     """Geometry bundle for the flattening built from interface trace h.
 
     Raises DiffeomorphismError when min(1 + δψ,₂) <= margin_min, mirroring
-    the smallness requirement that makes ψ injective.
+    the smallness requirement that makes ψ injective; the check reads only
+    the boundary and comes before any strip field is built.
     """
-    psi = harmonic_extension(h, grid)
-    dpsi1, dpsi2 = dx(psi), lam(psi)
-    del psi                               # freed before sampling: peak memory
-
-    blocks = [(lo, hi, cap, *block_values([dpsi1, dpsi2], lo, hi, cap, 3)[1])
-              for lo, hi, cap in _depth_blocks(grid)]
-    js = [1.0 + d2 for *_, d2 in blocks]
-    margin = float(min(np.min(j) for j in js))
+    margin = float(np.min(1.0 + values_on_grid(lam(h), pad_size(h.n_modes, 3))))
     if margin <= margin_min:
         raise DiffeomorphismError(
             f"not a diffeomorphism at this amplitude: min J = {margin:.4f} "
             f"<= margin_min = {margin_min:g}")
 
-    q22 = np.zeros_like(dpsi1.coeffs)     # a block's modes >= K stay 0
-    for (lo, hi, cap, d1, d2), j in zip(blocks, js):
-        q = np.fft.rfft((d1 * d1 - d2) / j, axis=-1, norm="forward")
-        q22[:cap, lo:hi] = q[:, :cap].T
+    psi = harmonic_extension(h, grid)
+    dpsi1, dpsi2 = dx(psi), lam(psi)
+    del psi                               # freed before sampling: peak memory
+    neg_q = []
+    for lo, hi, cap in _depth_blocks(grid):
+        d1, d2 = block_values([dpsi1, dpsi2], lo, hi, cap)
+        neg_q.append((lo, hi, cap, (-d2, d1, (d2 - d1 * d1) / (1.0 + d2))))
     return GeometryBundle(grid=grid, boundary=h, dpsi1=dpsi1, dpsi2=dpsi2,
-                          q22=dpsi1._like(q22), diffeo_margin=margin)
+                          neg_q=tuple(neg_q), diffeo_margin=margin)
 
 
 def identity_defect(bundle: GeometryBundle) -> float:
@@ -306,10 +298,12 @@ def identity_defect(bundle: GeometryBundle) -> float:
     Row 1 is the identity exactly; row 2 gives the two nontrivial entries
     A²₁ + A²₂ δψ,₁ = 0 and A²₂ (1 + δψ,₂) = 1.
     """
-    a21, a22, d1, d2 = values_stack([*bundle._a_row(), bundle.dpsi1, bundle.dpsi2],
-                                    pad_size(bundle.grid.n_modes, 3))
+    m = pad_size(bundle.grid.n_modes, 3)
+    d1, d2 = values_stack([bundle.dpsi1, bundle.dpsi2], m)
+    j = 1.0 + d2
+    a21, a22 = values_stack(project_stack([-d1 / j, 1.0 / j], bundle.dpsi1), m)
     r21 = a21 + a22 * d1
-    r22 = a22 * (1.0 + d2) - 1.0
+    r22 = a22 * j - 1.0
     return float(max(np.max(np.abs(r21)), np.max(np.abs(r22))))
 
 

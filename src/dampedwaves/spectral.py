@@ -25,6 +25,13 @@ a polynomial of that degree in fields with modes |n| <= N/2−1 aliases onto
 no retained mode, so every retained mode is exact (Orszag's rule; degree 2
 is the two-thirds rule).  Rational factors such as 1/(1+Λh) are sampled as
 degree 3 by convention.
+
+The φ₂ sweep's flux −Q∇φ, in a depth block that keeps the modes below K,
+multiplies by −Q as `geometry.build_geometry` sampled it on the flux's own
+pad_size(2K, 2) grid, its rational entry Q²₂ not projected first.  A kept
+mode then misses only aliased terms q̂(k)û(l) with |k| + |l| > 2K, not every
+term with |k| >= K: about e^{−2ρK} in place of e^{−ρK} for spectra decaying
+like e^{−ρ|n|} (Boyd, Chebyshev and Fourier Spectral Methods, 2001, ch. 11).
 """
 
 from __future__ import annotations

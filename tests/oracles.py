@@ -3,9 +3,10 @@
 Small helpers that number the modes of the FFT layout and read a spectrum
 by signed mode; M·u written from the evolution docstring's M(n); the lemma
 checks whose sharp constants the package's runs never evaluate; the
-geometry as built before it was built in depth blocks; and the ξ energy
-budget as computed before the stepper carried its remainder, by solving
-every interior record afresh from the start the stepper's solve had.
+geometry as built before it was built in depth blocks, and random analytic
+states to build it from; and the ξ energy budget as computed before the
+stepper carried its remainder, by solving every interior record afresh
+from the start the stepper's solve had.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from dampedwaves import evolution as ev
 from dampedwaves.diagnostics import BUDGET_REL_SLACK, floored_wiener
 from dampedwaves.errors import ConfigurationError, DiffeomorphismError
 from dampedwaves.geometry import GeometryBundle, StripGrid, harmonic_extension
+from dampedwaves.harness import random_boundary_field
 from dampedwaves.norms import (DEFAULT_SLACK, QUADRATURE_SLACK, InequalityReport,
                                NormSpec, wiener_norm)
 from dampedwaves.spectral import (SpectrumField, dx, hermitian_fill, lam,
-                                  mode_multiplicity, pad_size, project, project_stack,
+                                  mode_multiplicity, pad_size, project_stack,
                                   values_stack)
 
 
@@ -116,17 +118,27 @@ def check_extension_chain(xi: SpectrumField, grid: StripGrid, r: float, s: float
 
 def full_band_geometry(h: SpectrumField, grid: StripGrid,
                        margin_min: float = 0.1) -> GeometryBundle:
-    """build_geometry as it was before its depth blocks: δψ,₁ and δψ,₂ from
-    all N/2 modes on every depth row, sampled on the pad_size(N, 3) grid."""
+    """build_geometry as it was before its depth blocks: min J over every
+    depth row of the pad_size(N, 3) grid, and −Q in one block of every row,
+    sampled from all N/2 modes of δψ,₁ and δψ,₂ on the pad_size(N, 2) grid."""
     psi = harmonic_extension(h, grid)
     dpsi1, dpsi2 = dx(psi), lam(psi)
-    d1, d2 = values_stack([dpsi1, dpsi2], pad_size(grid.n_modes, 3))
-    j = 1.0 + d2
-    margin = float(np.min(j))
+    margin = float(np.min(1.0 + values_stack([dpsi2], pad_size(grid.n_modes, 3))))
     if margin <= margin_min:
         raise DiffeomorphismError(f"min J = {margin:.4f} <= margin_min = {margin_min:g}")
+    # depth-major samples (N_z, m), as the blocks of build_geometry hold them
+    d1, d2 = values_stack([dpsi1, dpsi2], pad_size(grid.n_modes, 2)).swapaxes(1, 2)
+    neg_q = (-d2, d1, (d2 - d1 * d1) / (1.0 + d2))
     return GeometryBundle(grid=grid, boundary=h, dpsi1=dpsi1, dpsi2=dpsi2,
-                          q22=project((d1 * d1 - d2) / j, dpsi1), diffeo_margin=margin)
+                          neg_q=((0, grid.n_depth, grid.n_modes // 2, neg_q),),
+                          diffeo_margin=margin)
+
+
+def analytic_data(n: int, seed: int = 0) -> tuple[SpectrumField, SpectrumField]:
+    """Random h and ξ on every mode 1..N/2−1, decaying like e^{−0.3|n|}."""
+    rng = np.random.default_rng(seed)
+    return tuple(random_boundary_field(rng, n, n // 2 - 1, decay=0.3, scale=0.1)
+                 for _ in range(2))
 
 
 def capture_first_stage_starts(monkeypatch) -> list:

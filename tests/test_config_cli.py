@@ -271,8 +271,11 @@ class TestCli:
         ("[initial]", "[numerics]\npicard_max_iter = 0\n[initial]"),
         ("[initial]", "[output]\nsnapshot_every = -1\n[initial]"),
         ("preset = small_two_mode", "preset = explicit\nh_modes = 0:0.004"),
+        ("[initial]", "[numerics]\nmargin_min = 1.0\n[initial]"),
+        ("[initial]", "[numerics]\nmargin_min = 1.5\n[initial]"),
+        ("[initial]", "[numerics]\nmargin_min = -0.1\n[initial]"),
     ], ids=["record_every", "depth", "n_depth", "picard_max_iter", "snapshot_every",
-            "h_mode_zero"])
+            "h_mode_zero", "margin_min_one", "margin_min_above_one", "margin_min_negative"])
     def test_invalid_setting_is_a_config_error(self, tmp_path, monkeypatch, capsys,
                                                old, new):
         # rejected before the run starts: exit 2 and nothing written, not a traceback

@@ -10,7 +10,7 @@ from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
 from dampedwaves.config import initial_data, parse_config
 from dampedwaves.errors import ContractionError
-from oracles import coeff, signed_modes
+from oracles import analytic_data, coeff, full_band_geometry, signed_modes
 from dampedwaves.norms import NormSpec, strip_norm
 from dampedwaves.harness import (elliptic_bound_trials, random_boundary_field,
                                  manufactured_solution_errors,
@@ -35,12 +35,14 @@ def frontier_data(a: float, n: int) -> tuple[sp.SpectrumField, sp.SpectrumField]
 
 def reference_sweep(bundle, phi1, phi2, dz2):
     """One Picard sweep P(φ₂) = Poisson(−Q∇(φ₁+φ₂)) written with
-    values_stack and project_stack: (g₁, g₂, PoissonSolution)."""
+    values_stack and project_stack, −Q from all N/2 modes of δψ on the
+    pad_size(N, 2) grid: (g₁, g₂, PoissonSolution)."""
     m = sp.pad_size(bundle.grid.n_modes, 2)
-    q11v, q12v, q22v = sp.values_stack([bundle.q11, bundle.q12, bundle.q22], m)
+    d1, d2 = sp.values_stack([bundle.dpsi1, bundle.dpsi2], m)
+    nq11, nq12, nq22 = -d2, d1, (d2 - d1 * d1) / (1.0 + d2)
     u1v, u2v = sp.values_stack([sp.dx(phi1 + phi2), sp.lam(phi1) + dz2], m)
-    g1, g2 = sp.project_stack([-(q11v * u1v + q12v * u2v),
-                               -(q12v * u1v + q22v * u2v)], phi1)
+    g1, g2 = sp.project_stack([nq11 * u1v + nq12 * u2v,
+                               nq12 * u1v + nq22 * u2v], phi1)
     return g1, g2, el.poisson_divform(g1, g2)
 
 
@@ -392,13 +394,6 @@ class TestAndersonMixing:
         assert gamma.dtype == np.float64 and gamma[0] == pytest.approx(2.0)
 
 
-def analytic_data(n: int, seed: int = 0) -> tuple[sp.SpectrumField, sp.SpectrumField]:
-    """Random h and ξ on every mode 1..N/2−1, decaying like e^{−0.3|n|}."""
-    rng = np.random.default_rng(seed)
-    return tuple(random_boundary_field(rng, n, n // 2 - 1, decay=0.3, scale=0.1)
-                 for _ in range(2))
-
-
 class TestDepthBlocks:
     @pytest.mark.parametrize("n_modes,n_depth,depth", [
         (8, 48, 8.0), (16, 64, 8.0), (64, 192, 8.0), (64, 256, 8.0),
@@ -414,7 +409,10 @@ class TestDepthBlocks:
         for lo, hi, cap in blocks:
             dropped = grid.modes[cap:, None] * np.abs(grid.z[lo:hi])
             assert np.all(dropped > geo.ROUNDOFF_EXPONENT)
-        assert geo._depth_blocks(grid) is blocks and el._depth_blocks is geo._depth_blocks
+        assert geo._depth_blocks(grid) is blocks
+        # the sweep runs in the blocks the geometry samples −Q in
+        bundle = geo.build_geometry(sp.zero_field(n_modes), grid)
+        assert tuple(q[:3] for q in bundle.neg_q) == blocks
 
     def test_bench_grids(self):
         def rows_and_caps(n_modes, n_depth):
@@ -443,7 +441,7 @@ class TestDepthBlocks:
     @pytest.mark.parametrize("name", STATES)
     def test_sweep_moves_only_round_off(self, name, workload_problem):
         bundle, phi1 = self.state(name, workload_problem)
-        assert len(el._depth_blocks(bundle.grid)) > 1
+        assert len(bundle.neg_q) > 1
         zero = geo.zero_strip(bundle.grid)
         sol = el.solve_phi2(bundle, phi1, tol=1e300, max_iter=1)
         g1, g2, ref = reference_sweep(bundle, phi1, zero, zero)
@@ -452,20 +450,29 @@ class TestDepthBlocks:
             assert rel_diff(got, want) <= 1e-15
 
     @pytest.mark.parametrize("name", STATES)
-    def test_converged_solve_moves_only_round_off(self, name, workload_problem,
-                                                  monkeypatch):
+    def test_converged_solve_moves_only_round_off(self, name, workload_problem):
         bundle, phi1 = self.state(name, workload_problem)
         sol = el.solve_phi2(bundle, phi1)
-        # one block of all modes, in the geometry and the sweep: the full-band
-        # Q²₂ and the full-band sweep of reference_sweep
-        for module in (geo, el):
-            monkeypatch.setattr(module, "_depth_blocks",
-                                lambda grid: ((0, grid.n_depth, grid.n_modes // 2),))
-        ref = el.solve_phi2(geo.build_geometry(bundle.boundary, bundle.grid), phi1)
+        # one block of all modes: the full-band −Q and the full-band sweep of
+        # reference_sweep
+        ref = el.solve_phi2(full_band_geometry(bundle.boundary, bundle.grid), phi1)
         assert sol.picard_iters == ref.picard_iters
         assert sol.mixed_from == ref.mixed_from
         assert rel_diff(sol.phi2, ref.phi2) <= 1e-14
         assert rel_diff(sol.dzphi2, ref.dzphi2) <= 1e-14
+
+    @pytest.mark.parametrize("name,bound", [("frontier_64x192", 1e-7),
+                                            ("analytic_128x384", 1e-10)])
+    def test_sweep_flux_resolves_q22(self, name, bound, workload_problem):
+        # g₂ = −Q¹₂u₁ − Q²₂u₂ against Q from all modes on 8N points: the
+        # rational Q²₂ enters the product unprojected, so its modes above a
+        # block's cap still reach the kept modes
+        bundle, phi1 = self.state(name, workload_problem)
+        sol = el.solve_phi2(bundle, phi1, tol=np.inf)      # one sweep from 0
+        d1, d2, u1, u2 = sp.values_stack([bundle.dpsi1, bundle.dpsi2, sp.dx(phi1),
+                                          sp.lam(phi1)], 8 * bundle.grid.n_modes)
+        want = sp.project(d1 * u1 + (d2 - d1 * d1) / (1.0 + d2) * u2, phi1)
+        assert rel_diff(sol.g2, want) <= bound
 
 
 class TestTraces:

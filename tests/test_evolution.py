@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dampedwaves import elliptic as el
@@ -159,6 +161,66 @@ class TestRhs:
         # leading error linear in κ
         assert diffs[0] / diffs[1] == pytest.approx(2.0, rel=0.15)
         assert diffs[1] / diffs[2] == pytest.approx(2.0, rel=0.15)
+
+    def test_reads_only_the_sweeps_q(self, monkeypatch):
+        # the sweep multiplies by the bundle's −Q samples (neg_q); the derived
+        # Q fields are the FD oracle's
+        def unread(bundle):
+            raise AssertionError("evaluate_rhs read a derived Q field")
+        for name in ("q11", "q12", "q22"):
+            monkeypatch.setattr(geo.GeometryBundle, name, property(unread))
+        state = ev.SimState(h=sp.cosine(1, 0.05, 32), xi=sp.sine(1, 0.05, 32), t=0.0)
+        r = ev.evaluate_rhs(state, ev.ModelParams(alpha=1.0), small_grid())
+        assert r.solution.picard_iters > 1
+
+
+def resolved_field(parts: list[float], weight: np.ndarray,
+                   amplitude: float) -> sp.SpectrumField:
+    """A real zero-mean field on the modes 1..6 of N = 64 whose Wiener sum
+    Σ 2·weight(n)·|v̂(n)| is the amplitude."""
+    c = np.zeros(32, dtype=np.complex128)
+    c[1:7] = np.array(parts[:6]) + 1j * np.array(parts[6:])
+    total = 2.0 * np.sum(weight * np.abs(c[1:7]))
+    c *= amplitude / total if total > 0 else 0.0
+    return sp.SpectrumField(sp.hermitian_fill(c))
+
+
+class TestSymmetries:
+    """Translation and reflection of x₁ commute with evaluate_rhs on resolved
+    states: h and ξ on the modes 1..6 of 64 × 192, |Λh|, |ξ| <= 0.1."""
+
+    GRID = geo.StripGrid(64, depth=8.0, n_depth=192)
+    PARTS = st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12)
+    AMPLITUDE = st.floats(0.0, 0.1)
+
+    @classmethod
+    def check(cls, h_parts, xi_parts, amplitude, act):
+        """act (on coeffs) applied to the state, then the rhs taken, against
+        the rhs taken, then act applied: 1e-14 relative to the rhs."""
+        n = np.arange(1.0, 7.0)
+        h = resolved_field(h_parts, n, amplitude)
+        xi = resolved_field(xi_parts, np.ones(6), amplitude)
+        params = ev.ModelParams(alpha=3.0)
+
+        def rhs(h, xi):
+            r = ev.evaluate_rhs(ev.SimState(h=h, xi=xi, t=0.0), params, cls.GRID)
+            return r.h_t.coeffs, r.xi_t.coeffs
+
+        moved = rhs(h._like(act(h.coeffs)), xi._like(act(xi.coeffs)))
+        for got, base in zip(moved, rhs(h, xi)):
+            want = act(base)
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(want)), 1e-300)
+
+    @settings(max_examples=20, deadline=None)
+    @given(PARTS, PARTS, AMPLITUDE, st.floats(0.0, 2.0 * np.pi))
+    def test_translation_commutes_with_rhs(self, h_parts, xi_parts, amplitude, x0):
+        shift = np.exp(-1j * sp.stored_modes(64) * x0)
+        self.check(h_parts, xi_parts, amplitude, lambda c: shift * c)
+
+    @settings(max_examples=20, deadline=None)
+    @given(PARTS, PARTS, AMPLITUDE)
+    def test_reflection_commutes_with_rhs(self, h_parts, xi_parts, amplitude):
+        self.check(h_parts, xi_parts, amplitude, np.conj)
 
 
 class TestStep:

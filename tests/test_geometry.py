@@ -8,7 +8,7 @@ from dampedwaves import spectral as sp
 from dampedwaves.config import initial_data, parse_config
 from dampedwaves.errors import ConfigurationError, DiffeomorphismError
 from dampedwaves.harness import random_boundary_field, random_strip_field
-from oracles import boundary_a_minus_identity, full_band_geometry
+from oracles import analytic_data, boundary_a_minus_identity, full_band_geometry
 
 
 def laplacian_residual(field: geo.StripField, acc: int = 4) -> float:
@@ -98,8 +98,10 @@ class TestGeometryBundle:
         assert np.max(np.abs(b.q11.coeffs)) > 0
         assert np.max(np.abs(b.q12.coeffs)) > 0
 
-    def test_margin_error(self):
+    def test_margin_error(self, monkeypatch):
         grid = geo.StripGrid(32, depth=8.0, n_depth=65)
+        # raised from the boundary alone, before any strip field is built
+        monkeypatch.setattr(geo, "StripField", None)
         with pytest.raises(DiffeomorphismError, match="not a diffeomorphism"):
             geo.build_geometry(sp.cosine(1, 1.5, 32), grid)
 
@@ -124,11 +126,16 @@ class TestGeometryBundle:
 
 
 class TestBlockedGeometry:
-    """Q²₂ built per depth block against the full-band build (oracles)."""
+    """−Q sampled per depth block against the full-band build (oracles)."""
 
     @staticmethod
-    def workload_boundary(name, monkeypatch):
-        """(εh^κ, grid, margin_min) of a benchmark workload's initial state."""
+    def boundary(name, monkeypatch):
+        """(εh^κ, grid, margin_min) of a benchmark workload's initial state,
+        or of random analytic data on an analytic_NxNz grid."""
+        kind, size = name.rsplit("_", 1)
+        if kind == "analytic":
+            n, nz = map(int, size.split("x"))
+            return analytic_data(n)[0], geo.StripGrid(n, depth=8.0, n_depth=nz), 0.1
         monkeypatch.syspath_prepend(str(Path(geo.__file__).resolve().parents[2] / "bench"))
         from workloads import WORKLOADS, config_text
         cfg = parse_config(config_text(WORKLOADS[name], 1))
@@ -137,17 +144,25 @@ class TestBlockedGeometry:
                 cfg.step_options.margin_min)
 
     @pytest.mark.parametrize("name", ["coarse_linear_8x48", "decay_64x192",
-                                      "steep_128x384"])
+                                      "steep_128x384", "analytic_16x64", "analytic_32x97",
+                                      "analytic_64x192", "analytic_128x384"])
     def test_bench_states_match_full_band(self, name, monkeypatch):
-        b, grid, margin_min = self.workload_boundary(name, monkeypatch)
+        b, grid, margin_min = self.boundary(name, monkeypatch)
         got = geo.build_geometry(b, grid, margin_min=margin_min)
         want = full_band_geometry(b, grid, margin_min=margin_min)
+        # the boundary's min J is every row's (the maximum principle)
         assert got.diffeo_margin == want.diffeo_margin
-        assert np.array_equal(got.q22.coeffs[:, -1], want.q22.coeffs[:, -1])
-        scale = np.max(np.abs(want.q22.coeffs))
-        assert np.max(np.abs(got.q22.coeffs - want.q22.coeffs)) <= 1e-15 * scale
-        for lo, hi, cap in geo._depth_blocks(grid):
-            assert np.all(got.q22.coeffs[cap:, lo:hi] == 0.0)
+        assert tuple(q[:3] for q in got.neg_q) == geo._depth_blocks(grid)
+        (_, _, _, full_q), = want.neg_q
+        lo, hi, _, top_q = got.neg_q[-1]
+        for g, w in zip(top_q, full_q):
+            assert np.array_equal(g, w[lo:hi])
+        for i, w in enumerate(full_q):
+            w_hat = np.fft.rfft(w, axis=-1, norm="forward")
+            scale = np.max(np.abs(w_hat))
+            for lo, hi, cap, q in got.neg_q:
+                g_hat = np.fft.rfft(q[i], axis=-1, norm="forward")[:, :cap]
+                assert np.max(np.abs(g_hat - w_hat[lo:hi, :cap])) <= 1e-15 * scale
 
     def test_one_block_grid_is_bitwise_full_band(self):
         grid = geo.StripGrid(16, depth=8.0, n_depth=64)
@@ -155,14 +170,17 @@ class TestBlockedGeometry:
         h = random_boundary_field(np.random.default_rng(3), 16, 7, scale=0.05)
         got, want = geo.build_geometry(h, grid), full_band_geometry(h, grid)
         assert got.diffeo_margin == want.diffeo_margin
-        assert np.array_equal(got.q22.coeffs, want.q22.coeffs)
+        (*got_block, got_q), = got.neg_q
+        (*want_block, want_q), = want.neg_q
+        assert got_block == want_block
+        assert all(np.array_equal(g, w) for g, w in zip(got_q, want_q))
 
     def test_block_values_top_block_is_values_stack(self):
         grid = geo.StripGrid(64, depth=8.0, n_depth=192)
         lo, hi, cap = geo._depth_blocks(grid)[-1]
         f = geo.harmonic_extension(sp.cosine(1, 0.1, 64) + sp.cosine(3, 0.02, 64), grid)
-        _, got = geo.block_values([f, sp.lam(f)], lo, hi, cap, 3)
-        want = sp.values_stack([f, sp.lam(f)], sp.pad_size(64, 3))
+        got = geo.block_values([f, sp.lam(f)], lo, hi, cap)
+        want = sp.values_stack([f, sp.lam(f)], sp.pad_size(64, 2))
         assert cap == 32 and np.array_equal(got, want[:, :, lo:hi].swapaxes(1, 2))
 
 
