@@ -133,7 +133,8 @@ def cmd_run(args) -> int:
                   if budget is not None and budget.rhs != 0.0 else None)
     summary = {"max_picard_iters": traj.max_picard_iters,
                "mixed_solves": traj.mixed_solves, "picard_sweeps": traj.picard_sweeps,
-               "phi2_solves": traj.phi2_solves, "xi_budget_rel_margin": rel_margin}
+               "phi2_solves": traj.phi2_solves, "xi_budget_rel_margin": rel_margin,
+               "band_steps": {str(k): n for k, n in sorted(traj.band_steps.items())}}
     code = _write_verdict(out / "verdict.json", checks, summary)
     print(f"wrote {out}/series.csv ({len(records)} records); "
           f"verdict: {'PASS' if code == 0 else 'FAIL'}")

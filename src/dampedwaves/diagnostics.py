@@ -20,7 +20,7 @@ import numpy as np
 from .elliptic import gradient_norm, solve_phi1, solve_phi2
 from .errors import ConfigurationError
 from .evolution import ModelParams, SimState, StepOptions, Trajectory
-from .geometry import StripGrid, build_geometry, zero_strip
+from .geometry import StripField, StripGrid, build_geometry, zero_strip
 from .norms import InequalityReport, sobolev_norm
 from .spectral import SpectrumField, lam, mode_multiplicity, mollify
 
@@ -145,8 +145,10 @@ class DiagRecord:
 
 
 def bulk_gradient_norm(state: SimState, params: ModelParams, grid: StripGrid,
-                       opts: StepOptions) -> float:
-    """elliptic.gradient_norm of the potential at one state, solved afresh.
+                       opts: StepOptions,
+                       start: tuple[StripField, StripField] | None = None) -> float:
+    """elliptic.gradient_norm of the potential at one state, solved afresh
+    from start (see solve_phi2).
 
     The geometry and Picard problem are the stepper's (εh^κ, ξ^κ, opts).  At
     ε = 0 the strip is flat and φ₂ is exactly 0, so nothing is solved.
@@ -158,7 +160,7 @@ def bulk_gradient_norm(state: SimState, params: ModelParams, grid: StripGrid,
     bundle = build_geometry(params.epsilon * mollify(state.h, params.kappa), grid,
                             margin_min=opts.margin_min)
     esol = solve_phi2(bundle, phi1, tol=opts.picard_tol,
-                      max_iter=opts.picard_max_iter)
+                      max_iter=opts.picard_max_iter, start=start)
     return gradient_norm(phi1, esol.phi2, esol.dzphi2)
 
 
@@ -167,8 +169,9 @@ def compute_records(traj: Trajectory) -> list[DiagRecord]:
 
     The bulk term reuses the value the stepper took from its own elliptic
     solve at each state (traj.bulk), so only the states no step solved are
-    solved here, under the run's options: the final state and those of
-    hand-built trajectories.  At ε = 0 no state needs a solve (see
+    solved here, under the run's options: the final state, from the last
+    step's predictor solution (traj.final_phi2), and those of hand-built
+    trajectories, from zero.  At ε = 0 no state needs a solve (see
     bulk_gradient_norm).
     """
     params = traj.params
@@ -190,7 +193,8 @@ def compute_records(traj: Trajectory) -> list[DiagRecord]:
         boundary_max = max(boundary_max, sh ** 2 + sx ** 2)
         bulk = traj.bulk[i] if i < len(traj.bulk) else None
         if bulk is None:
-            bulk = bulk_gradient_norm(state, params, traj.grid, traj.opts)
+            start = traj.final_phi2 if i == len(traj.states) - 1 else None
+            bulk = bulk_gradient_norm(state, params, traj.grid, traj.opts, start=start)
         if prev_t is not None:
             bulk_integral += 0.5 * (bulk + prev_bulk) * (state.t - prev_t)
         prev_t, prev_bulk = state.t, bulk

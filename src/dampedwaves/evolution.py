@@ -26,18 +26,31 @@ per-mode exponential of the stiff linear system
 (κ-adjusted when mollified) propagates the linear part, the nonlinear
 remainder is advanced explicitly at second order.  At ε = 0 the remainder
 vanishes and a step is the propagator alone.
+
+A run at ε > 0 steps only the modes that carry content: before each step it
+picks a working cap K from N/2, N/4, … (K >= 4), the horizontal twin of the
+depth blocks of `geometry._depth_blocks`, with their threshold
+e^{−ROUNDOFF_EXPONENT}·max(|ĥ|, |ξ̂|) ≈ 6e-19 of the largest coefficient.
+K's guard band is its top quarter, the modes 3K/4..K−1.  K doubles before
+any step whose input has content above the threshold in K's guard band, and
+halves only after the guard band of K/2 and every mode above it have held
+none for BAND_HOLD_STEPS steps in a row.  The step then runs on the state
+truncated to its modes < K on StripGrid(2K, depth, n_depth), and its new
+state is embedded back with zeros; the warm-start φ₂ pairs are truncated or
+zero-padded when K changes.  A run starts at K = N/2; at ε = 0 and on grids
+with N/2 < 8 it keeps N/2 throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .elliptic import EllipticSolution, gradient_norm, solve_phi1, solve_phi2
 from .errors import ConfigurationError, NumericsError
-from .geometry import StripField, StripGrid, build_geometry
+from .geometry import ROUNDOFF_EXPONENT, StripField, StripGrid, build_geometry
 from .spectral import (SpectrumField, dx, dxx, lam, mollify, pad_size,
                        project_stack, stored_modes, values_stack, zero_field)
 
@@ -282,6 +295,49 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
     return _unpack(u1, state.t + dt, state.h), info
 
 
+# ---------------------------------------------------------------------------
+# the working band
+
+BAND_HOLD_STEPS = 5    # steps in a row K/2's guard band must stay empty before K halves
+
+
+def _content_cap(state: SimState) -> int:
+    """The smallest cap K of N/2, N/4, … (K >= 4) whose guard band, the
+    modes 3K/4 and up, holds no |ĥ| or |ξ̂| above
+    e^{−ROUNDOFF_EXPONENT}·max(|ĥ|, |ξ̂|); N/2 when no smaller cap's is
+    empty."""
+    size = np.maximum(np.abs(state.h.coeffs), np.abs(state.xi.coeffs))
+    loud = np.flatnonzero(size > np.exp(-ROUNDOFF_EXPONENT) * size.max())
+    top = loud[-1] if loud.size else -1
+    cap = state.n_modes // 2
+    while cap // 2 >= 4 and top < 3 * (cap // 2) // 4:
+        cap //= 2
+    return cap
+
+
+def _band(coeffs: np.ndarray, k: int) -> np.ndarray:
+    """The modes 0..k−1 along axis 0 of coeffs, truncated or zero-padded,
+    in a fresh array."""
+    out = np.zeros((k,) + coeffs.shape[1:], dtype=np.complex128)
+    n = min(k, coeffs.shape[0])
+    out[:n] = coeffs[:n]
+    return out
+
+
+def _state_on_band(state: SimState, k: int) -> SimState:
+    """state on the modes 0..k−1 (state itself when it has k)."""
+    if 2 * k == state.n_modes:
+        return state
+    return SimState(h=state.h._like(_band(state.h.coeffs, k)),
+                    xi=state.xi._like(_band(state.xi.coeffs, k)), t=state.t)
+
+
+def _pair_on_grid(pair: tuple[StripField, StripField],
+                  grid: StripGrid) -> tuple[StripField, StripField]:
+    """A warm-start (φ₂, ∂₂φ₂) on grid's modes, in fresh arrays."""
+    return tuple(StripField(grid, _band(f.coeffs, grid.n_modes // 2)) for f in pair)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded states of a run and what the run knew about them.
@@ -291,7 +347,10 @@ class Trajectory:
     that state, or None where no step solved it (the final state, every
     state at ε = 0); xi_remainder holds the step's StepInfo.xi_remainder
     there, or None at the final state.  Both are empty for hand-built
-    trajectories.  The counters sum the steps' StepInfo over the run.
+    trajectories.  final_phi2 is the last step's predictor (φ₂, ∂₂φ₂) on
+    the run's grid, a start for a solve at the final state (None when no
+    step solved).  The counters sum the steps' StepInfo over the run, and
+    band_steps counts the steps run at each working cap K.
     """
 
     states: tuple[SimState, ...]
@@ -306,6 +365,8 @@ class Trajectory:
     mixed_solves: int = 0      # the stepper's solves that switched to mixing
     picard_sweeps: int = 0     # the sweeps of all the stepper's φ₂ solves
     phi2_solves: int = 0       # the stepper's φ₂ solves
+    final_phi2: tuple[StripField, StripField] | None = None
+    band_steps: dict[int, int] = field(default_factory=dict)
 
     @property
     def times(self) -> np.ndarray:
@@ -317,7 +378,16 @@ def run(h0: SpectrumField, xi0: SpectrumField, params: ModelParams,
         opts: StepOptions | None = None) -> Trajectory:
     """Advance to t_final, recording every record_every steps (plus endpoints).
 
-    Each step's φ₂ solves start from the last step's (see step)."""
+    Each step's φ₂ solves start from the last step's (see step).  At ε > 0
+    each step runs on a working cap K of the stored modes, picked before
+    the step from its input: K starts at N/2 and doubles before any step
+    whose input has content above e^{−ROUNDOFF_EXPONENT}·max(|ĥ|, |ξ̂|) in
+    K's guard band, the modes 3K/4..K−1; it halves, never below 4, only
+    after BAND_HOLD_STEPS inputs in a row have held none in the guard band
+    of K/2 or above it.  The step runs on the input truncated to its modes
+    < K on StripGrid(2K, depth, n_depth); the new state, the step's
+    xi_remainder and the warm-start pairs are zero-padded back (the pairs
+    only when K changes).  ε = 0 runs and grids with N/2 < 8 keep K = N/2."""
     if t_final < 0:
         raise ConfigurationError(f"t_final must be >= 0, got {t_final}")
     if record_every < 1:
@@ -332,18 +402,34 @@ def run(h0: SpectrumField, xi0: SpectrumField, params: ModelParams,
     max_drift = 0.0
     max_iters = sweeps = solves = mixed = 0
     info = None                 # the last step's, for one step
+    full = h0.n_modes // 2
+    cap, quiet, work = full, 0, grid
+    adaptive = params.epsilon != 0.0 and full >= 8
+    band_steps: dict[int, int] = {}
     for i in range(n_steps):
+        if adaptive:
+            need = _content_cap(state)
+            quiet = quiet + 1 if need < cap else 0
+            new_cap = max(need, cap // 2 if quiet >= BAND_HOLD_STEPS else cap)
+            if new_cap != cap:
+                cap, quiet = new_cap, 0
+                work = StripGrid(2 * cap, depth=grid.depth, n_depth=grid.n_depth)
+                if info is not None:
+                    info = replace(info, phi2=_pair_on_grid(info.phi2, work),
+                                   phi2_pred=_pair_on_grid(info.phi2_pred, work))
+        band_steps[cap] = band_steps.get(cap, 0) + 1
         # the state entering step i was recorded exactly when i % record_every == 0
         try:
-            state, info = step(state, params, grid, dt, opts,
-                               record=i % record_every == 0, prev=info)
+            new, info = step(_state_on_band(state, cap), params, work, dt, opts,
+                             record=i % record_every == 0, prev=info)
         except NumericsError as exc:
             raise NumericsError(f"step {i + 1} of {n_steps} "
                                 f"(t = {state.t:.6g} -> {state.t + dt:.6g}): {exc}") from exc
+        state = _state_on_band(new, full)
         if info.bulk_gradient is not None:
             bulk[-1] = info.bulk_gradient
         if info.xi_remainder is not None:
-            remainders[-1] = info.xi_remainder
+            remainders[-1] = info.xi_remainder._like(_band(info.xi_remainder.coeffs, full))
         max_drift = max(max_drift, info.mean_drift)
         max_iters = max(max_iters, info.picard_iters)
         sweeps += info.picard_sweeps
@@ -353,7 +439,10 @@ def run(h0: SpectrumField, xi0: SpectrumField, params: ModelParams,
             records.append(state)
             bulk.append(None)
             remainders.append(None)
+    final_phi2 = None if info is None or info.phi2_pred is None else \
+        _pair_on_grid(info.phi2_pred, grid)
     return Trajectory(states=tuple(records), params=params, grid=grid, dt=dt,
                       max_mean_drift=max_drift, max_picard_iters=max_iters, opts=opts,
                       bulk=tuple(bulk), xi_remainder=tuple(remainders),
-                      mixed_solves=mixed, picard_sweeps=sweeps, phi2_solves=solves)
+                      mixed_solves=mixed, picard_sweeps=sweeps, phi2_solves=solves,
+                      final_phi2=final_phi2, band_steps=band_steps)

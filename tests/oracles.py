@@ -4,14 +4,17 @@ Small helpers that number the modes of the FFT layout and read a spectrum
 by signed mode; M·u written from the evolution docstring's M(n); the lemma
 checks whose sharp constants the package's runs never evaluate; the
 geometry as built before it was built in depth blocks, and random analytic
-states to build it from; and the ξ energy budget as computed before the
+states to build it from; the ξ energy budget as computed before the
 stepper carried its remainder, by solving every interior record afresh
-from the start the stepper's solve had.
+on the working band and from the start the stepper's solve had; and the
+boundary system's right-hand side from the surface alone, through the
+Craig–Sulem series of the Dirichlet–Neumann operator.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import factorial
 
 import numpy as np
 
@@ -143,35 +146,50 @@ def analytic_data(n: int, seed: int = 0) -> tuple[SpectrumField, SpectrumField]:
 
 def capture_first_stage_starts(monkeypatch) -> list:
     """Wrap evolution.solve_phi2 so that each step's first solve, the first
-    stage at the step's input state, leaves a copy of its start in the
-    returned list: one (φ₂, ∂₂φ₂) per step at ε ≠ 0, None for a cold start."""
+    stage at the step's input state, leaves in the returned list the grid it
+    ran on, the step's working band, and a copy of its start: one
+    (grid, (φ₂, ∂₂φ₂)) per step at ε ≠ 0, (grid, None) for a cold start."""
     starts, solve = [], ev.solve_phi2
     calls = itertools.count()
 
-    def wrapped(*args, start=None, **kwargs):
+    def wrapped(bundle, *args, start=None, **kwargs):
         if next(calls) % 2 == 0:      # two solves per step, the first stage first
-            starts.append(None if start is None else
-                          tuple(f._like(f.coeffs.copy()) for f in start))
-        return solve(*args, start=start, **kwargs)
+            starts.append((bundle.grid, None if start is None else
+                           tuple(f._like(f.coeffs.copy()) for f in start)))
+        return solve(bundle, *args, start=start, **kwargs)
 
     monkeypatch.setattr(ev, "solve_phi2", wrapped)
     return starts
 
 
+def on_modes(f: SpectrumField, k: int) -> SpectrumField:
+    """f truncated to, or zero-padded to, the modes 0..k−1."""
+    c = np.zeros(k, dtype=np.complex128)
+    n = min(k, f.coeffs.size)
+    c[:n] = f.coeffs[:n]
+    return SpectrumField(hermitian_fill(c))
+
+
 def resolved_rhs(traj: ev.Trajectory, i: int, starts=()) -> ev.RhsEval:
-    """evaluate_rhs at record i under the run's options, its φ₂ solve
-    started from starts[k], k the step that the record's state entered (see
-    capture_first_stage_starts), or from zero where starts has no entry."""
+    """evaluate_rhs at record i under the run's options, on the working band
+    of the step that the record's state entered, k, and its φ₂ solve started
+    from the start that step had, both from starts[k] (see
+    capture_first_stage_starts); on the run's grid from zero where starts
+    has no entry.  The state is truncated to the band's modes, so the
+    right-hand side has them too."""
     state = traj.states[i]
     k = int(round(state.t / traj.dt))
-    start = starts[k] if k < len(starts) else None
-    return ev.evaluate_rhs(state, traj.params, traj.grid, traj.opts, phi2_start=start)
+    grid, start = starts[k] if k < len(starts) else (traj.grid, None)
+    m = grid.n_modes
+    banded = ev.SimState(h=on_modes(state.h, m // 2), xi=on_modes(state.xi, m // 2),
+                         t=state.t)
+    return ev.evaluate_rhs(banded, traj.params, grid, traj.opts, phi2_start=start)
 
 
 def resolved_xi_energy_budget(traj: ev.Trajectory, starts=()) -> InequalityReport:
     """diagnostics.check_xi_energy_budget with each interior record's
-    remainder ξ_t − (M·u)_ξ re-solved by resolved_rhs, or zero at ε = 0,
-    where the run applies none."""
+    remainder ξ_t − (M·u)_ξ re-solved by resolved_rhs on the step's band and
+    zero above it, or zero at ε = 0, where the run applies none."""
     params = traj.params
     states = traj.states
     if len(states) < 3:
@@ -184,12 +202,14 @@ def resolved_xi_energy_budget(traj: ev.Trajectory, starts=()) -> InequalityRepor
         lam_t = params.mu * s0.t
         dxi = (floored_wiener(sp.xi, 1.0, params.mu * sp.t) -
                floored_wiener(sm.xi, 1.0, params.mu * sm.t)) / (sp.t - sm.t)
-        if params.epsilon == 0.0:
-            nl = np.zeros_like(s0.xi.coeffs)
-        else:
+        nl = np.zeros_like(s0.xi.coeffs)
+        if params.epsilon != 0.0:
+            # the remainder on the step's band, zero above it
             r = resolved_rhs(traj, i, starts)
-            u = np.stack([s0.xi.coeffs, s0.h.coeffs])
-            nl = r.xi_t.coeffs - linear_rhs(u, modes, params.alpha, params.kappa)[0]
+            k = r.xi_t.coeffs.size
+            u = np.stack([s0.xi.coeffs[:k], s0.h.coeffs[:k]])
+            nl[:k] = r.xi_t.coeffs - linear_rhs(u, modes[:k], params.alpha,
+                                                params.kappa)[0]
         rhs = (-(params.alpha - params.mu) * floored_wiener(lam(s0.xi, 2.0), 1.0, lam_t)
                + floored_wiener(s0.h, 1.0, lam_t)
                + floored_wiener(SpectrumField(hermitian_fill(nl)), 1.0, lam_t))
@@ -200,3 +220,69 @@ def resolved_xi_energy_budget(traj: ev.Trajectory, starts=()) -> InequalityRepor
             holds = False
     return InequalityReport(lhs=worst[0], rhs=worst[1], constant_used=BUDGET_REL_SLACK,
                             holds=holds, margin=worst[1] - worst[0])
+
+
+def dirichlet_neumann_rhs(h: SpectrumField, xi: SpectrumField, alpha: float,
+                          order: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """(h_t, ξ_t) of the boundary system on the modes 0..N/2−1, at ε = 1 and
+    κ = 0, from the surface alone: no strip, no depth grid, no Picard
+    iteration.
+
+    G(η) is the Dirichlet–Neumann operator of the deep fluid below the
+    physical surface η = εh = h, G(η)ξ = Φ_y − η′Φ_x there, summed to order J by
+    the Craig–Sulem series (J. Comput. Phys. 108, 1993) in its self-adjoint
+    recursion, D = −i∂ₓ:
+
+        G₀ = |D|,   G_j = |D|^{j−1} D η^j D / j! − Σ_{m=1..j} |D|^m η^m G_{j−m} / m!.
+
+    The surface gradient follows from ξ′ = Φ_x + η′Φ_y and Gξ, and Φ_xx
+    from differentiating the two traces (Φ_yy = −Φ_xx):
+
+        Φ_y = (Gξ + η′ξ′)/(1 + η′²),   Φ_x = ξ′ − η′Φ_y,
+        Φ_xx = (∂ₓ(Φ_x|) − η′∂ₓ(Φ_y|))/(1 + η′²),
+        h_t = Gξ + αh,₁₁,
+        ξ_t = −½(Φ_x² + Φ_y²) − h + αΦ_xx + Φ_y(Gξ + αh,₁₁).
+
+    Products are taken on 4N points with the full complex FFT.  The
+    recursion cancels badly in high modes: keep J <= 8 and N <= 128.
+    """
+    n_modes = h.n_modes
+    m = 4 * n_modes
+    k = np.fft.fftfreq(m, d=1.0 / m)
+    absk = np.abs(k)
+
+    def spectrum(f: SpectrumField) -> np.ndarray:
+        c = np.zeros(m, dtype=np.complex128)
+        c[:n_modes // 2] = f.coeffs
+        c[m - n_modes // 2 + 1:] = np.conj(f.coeffs[:0:-1])
+        return c
+
+    def values(c: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(c, norm="forward").real
+
+    def coeffs(v: np.ndarray) -> np.ndarray:
+        return np.fft.fft(v, norm="forward")
+
+    h_hat, xi_hat = spectrum(h), spectrum(xi)
+    eta = values(h_hat)
+    dxi = values(1j * k * xi_hat)
+    terms = [absk * xi_hat]                       # G_j ξ, Fourier side
+    for j in range(1, order + 1):
+        # D η^j D = −∂ₓ η^j ∂ₓ, which keeps the samples real
+        g = -absk ** (j - 1) * 1j * k * coeffs(eta ** j * dxi) / factorial(j)
+        for i in range(1, j + 1):
+            g -= absk ** i * coeffs(eta ** i * values(terms[j - i])) / factorial(i)
+        terms.append(g)
+    g_hat = sum(terms)
+
+    hxx_hat = -k ** 2 * h_hat
+    g_xi, hxx = values(g_hat), values(hxx_hat)
+    deta = values(1j * k * h_hat)
+    stretch = 1.0 + deta ** 2
+    phi_y = (g_xi + deta * dxi) / stretch
+    phi_x = dxi - deta * phi_y
+    phi_xx = (values(1j * k * coeffs(phi_x)) - deta * values(1j * k * coeffs(phi_y))) / stretch
+    h_t = g_hat + alpha * hxx_hat
+    xi_t = coeffs(-0.5 * (phi_x ** 2 + phi_y ** 2) - eta + alpha * phi_xx
+                  + phi_y * (g_xi + alpha * hxx))
+    return h_t[:n_modes // 2], xi_t[:n_modes // 2]

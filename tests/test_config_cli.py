@@ -548,6 +548,7 @@ def test_verdict_summary_counts_mixed_solves(tmp_path, monkeypatch):
                                   "mixed_solves": traj.mixed_solves,
                                   "picard_sweeps": traj.picard_sweeps,
                                   "phi2_solves": traj.phi2_solves,
-                                  "xi_budget_rel_margin": (rep.rhs - rep.lhs) / abs(rep.rhs)}
+                                  "xi_budget_rel_margin": (rep.rhs - rep.lhs) / abs(rep.rhs),
+                                  "band_steps": {"16": 2}}
     assert traj.mixed_solves == traj.phi2_solves == 2 * wl.steps   # every solve switched
     assert traj.picard_sweeps >= 3 * traj.phi2_solves     # mixing starts at sweep 3

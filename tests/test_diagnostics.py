@@ -185,7 +185,7 @@ class TestXiBudget:
         with monkeypatch.context() as m:
             starts = capture_first_stage_starts(m)
             traj = decay_fixture_run(record_every)
-        assert starts[0] is None and len(starts) == 200
+        assert starts[0] == (traj.grid, None) and len(starts) == 200
         assert dg.check_xi_energy_budget(traj) == resolved_xi_energy_budget(traj, starts)
 
     def test_linear_only_remainder_is_zero(self):
@@ -265,7 +265,7 @@ class TestRecordSolves:
         resolved = dg.compute_records(dataclasses.replace(traj, bulk=(*bulk, None)))
         assert [r.energy for r in reused] == [r.energy for r in resolved]
         # the run's first solve starts cold, as a fresh one does
-        assert starts[0] is None and traj.bulk[0] == dg.bulk_gradient_norm(
+        assert starts[0] == (self.grid, None) and traj.bulk[0] == dg.bulk_gradient_norm(
             traj.states[0], self.params, self.grid, traj.opts)
 
     def test_epsilon_zero_run_solves_nothing(self, monkeypatch):

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from dampedwaves import diagnostics as dg
 from dampedwaves import elliptic as el
 from dampedwaves import evolution as ev
 from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
 from dampedwaves.errors import ConfigurationError, NumericsError
 from dampedwaves.harness import linear_exponential
-from oracles import linear_rhs
+from oracles import capture_first_stage_starts, linear_rhs, resolved_xi_energy_budget
 
 
 def small_grid(n_modes=32, n_depth=129):
@@ -367,10 +368,15 @@ class TestPredictorStart:
 
     def test_decay_run_sweeps_per_solve(self, monkeypatch):
         # the decay workload's 200 steps: a cold first solve of 3 sweeps, then
-        # 1 per first stage and 1–2 per predictor while the fast modes decay
+        # 1 per first stage and 1–2 per predictor while the fast modes decay,
+        # also across the working band's halving; the ξ budget re-solved on
+        # each record's band, from its start, is the stepper's bit for bit
+        firsts = capture_first_stage_starts(monkeypatch)
         traj, _, sweeps = self.decay_run(monkeypatch, 0.2)
         assert traj.phi2_solves == 400 and traj.picard_sweeps == sweeps
         assert traj.picard_sweeps <= 1.25 * traj.phi2_solves
+        assert traj.band_steps == {32: 44, 16: 156}
+        assert dg.check_xi_energy_budget(traj) == resolved_xi_energy_budget(traj, firsts)
 
     def test_step_extrapolates_in_place_and_hands_on_its_first_stage(self, monkeypatch):
         grid = small_grid(16, 64)
@@ -423,3 +429,110 @@ class TestHermitianStability:
         # negative modes are conjugates by storage; the mean stays real
         assert 2.0 * abs(s.h.coeffs[0].imag) <= 1e-13
         assert 2.0 * abs(s.xi.coeffs[0].imag) <= 1e-13
+
+
+def record_caps(monkeypatch) -> list:
+    """Wrap evolution.step so that each step leaves its working cap K, half
+    the mode count of the grid it ran on, in the returned list."""
+    caps, step = [], ev.step
+
+    def wrapped(state, params, grid, *args, **kwargs):
+        caps.append(grid.n_modes // 2)
+        return step(state, params, grid, *args, **kwargs)
+
+    monkeypatch.setattr(ev, "step", wrapped)
+    return caps
+
+
+def cap_changes(caps: list) -> list:
+    """(step, new cap) wherever the cap differs from the step before."""
+    return [(i, c) for i, c in enumerate(caps) if i and c != caps[i - 1]]
+
+
+class TestWorkingBand:
+    """Each step at ε > 0 runs on the modes below a cap K picked from its
+    input's content; the result is that of the full band within round-off."""
+
+    @staticmethod
+    def state_rows(traj):
+        return [np.concatenate([s.h.coeffs, s.xi.coeffs]) for s in traj.states]
+
+    def test_cascade_widens_the_band_and_matches_the_full_band(self, monkeypatch):
+        # ξ = 0.5 sin x over a flat interface: h grows like t, and with it the
+        # geometry's products fill the modes above 12 a few dozen steps in,
+        # after the band has narrowed to 16
+        grid = geo.StripGrid(64, depth=8.0, n_depth=48)
+        params = ev.ModelParams(alpha=3.0)
+        h0, xi0 = sp.zero_field(64), sp.sine(1, 0.5, 64)
+        with monkeypatch.context() as m:
+            caps = record_caps(m)
+            traj = ev.run(h0, xi0, params, grid, 2e-3, 0.1, record_every=5)
+        assert cap_changes(caps) == [(4, 16), (40, 32)]
+        assert traj.band_steps == {32: 14, 16: 36}
+        monkeypatch.setattr(ev, "BAND_HOLD_STEPS", len(caps) + 1)    # never halves
+        ref = ev.run(h0, xi0, params, grid, 2e-3, 0.1, record_every=5)
+        assert ref.band_steps == {32: 50}
+        for got, want in zip(self.state_rows(traj), self.state_rows(ref)):
+            assert np.max(np.abs(got - want)) <= 1e-16 * np.max(np.abs(want))
+        got = np.array([r.row() for r in dg.compute_records(traj)])
+        want = np.array([r.row() for r in dg.compute_records(ref)])
+        radius = dg.DiagRecord.FIELDS.index("radius")
+        keep = [i for i in range(got.shape[1]) if i != radius]
+        assert np.all(np.abs(got[:, keep] - want[:, keep]) <= 1e-15 * np.abs(want[:, keep]))
+
+    def test_decay_cap_changes_at_most_twice(self, monkeypatch):
+        # the decay workload's data and grid: modes >= 12 reach round-off
+        # within 40 steps, and the band holds at 16 from then on
+        n = 64
+        a = 0.01 / 7.0
+        h0 = sp.cosine(1, a, n) + sp.cosine(2, 0.5 * a, n)
+        xi0 = sp.sine(1, a, n) + sp.sine(2, 0.5 * a, n)
+        caps = record_caps(monkeypatch)
+        traj = ev.run(h0, xi0, ev.ModelParams(alpha=3.0, mu=1.0),
+                      geo.StripGrid(n, depth=8.0, n_depth=192), 1e-3, 0.2)
+        assert len(cap_changes(caps)) <= 2
+        assert traj.band_steps == {32: 44, 16: 156}
+
+    @pytest.mark.parametrize("case", ["steep", "eight_modes", "linear"])
+    def test_full_band_kept(self, case):
+        if case == "steep":
+            # the steep workload's initial state: one step carries content
+            # above the threshold to mode 54 of 63, so no guard band empties
+            n, params, amps = 128, ev.ModelParams(alpha=1.0), (0.12, 0.06, 0.03)
+        elif case == "eight_modes":
+            # N/2 = 4 has no smaller cap
+            n, params, amps = 8, ev.ModelParams(alpha=3.0), (3e-9, 1.5e-9, 7.5e-10)
+        else:
+            # ε = 0 runs keep N/2 whatever the content
+            n, params, amps = 32, ev.ModelParams(alpha=3.0, epsilon=0.0), (1e-3, 5e-4)
+        h0, xi0 = sp.zero_field(n), sp.zero_field(n)
+        for k, amp in enumerate(amps, start=1):
+            h0 = h0 + sp.cosine(k, amp, n, np.pi)
+            xi0 = xi0 + sp.sine(k, amp, n)
+        traj = ev.run(h0, xi0, params, geo.StripGrid(n, depth=8.0, n_depth=48),
+                      1e-3, 8e-3)
+        assert traj.band_steps == {n // 2: 8}
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 16), st.integers(0, 16), st.integers(0, 2 ** 32 - 1))
+    def test_truncate_after_pad_is_identity(self, k, extra, seed):
+        rng = np.random.default_rng(seed)
+
+        def coeffs(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        f = sp.zero_field(2 * k)._like(coeffs(k))
+        state = ev.SimState(h=f, xi=-f, t=0.5)
+        wide = ev._state_on_band(state, k + extra)
+        assert wide.n_modes == 2 * (k + extra) and wide.t == 0.5
+        assert np.all(wide.h.coeffs[k:] == 0.0) and np.all(wide.xi.coeffs[k:] == 0.0)
+        back = ev._state_on_band(wide, k)
+        assert np.array_equal(back.h.coeffs, f.coeffs)
+        assert np.array_equal(back.xi.coeffs, -f.coeffs)
+        grid = geo.StripGrid(2 * k, depth=8.0, n_depth=9)
+        wide_grid = geo.StripGrid(2 * (k + extra), depth=8.0, n_depth=9)
+        pair = tuple(geo.StripField(grid, coeffs(k, 9)) for _ in range(2))
+        wide_pair = ev._pair_on_grid(pair, wide_grid)
+        assert all(p.grid == wide_grid and np.all(p.coeffs[k:] == 0.0) for p in wide_pair)
+        for got, want in zip(ev._pair_on_grid(wide_pair, grid), pair):
+            assert got.grid == grid and np.array_equal(got.coeffs, want.coeffs)
