@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .evolution import ModelParams, StepOptions
+from .evolution import ModelParams, StepOptions, step_count
 from .geometry import StripGrid
 from .spectral import SpectrumField, cosine, sine, zero_field
 
@@ -55,6 +55,7 @@ class RunConfig:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
         if self.t_final < 0:
             raise ConfigurationError(f"t_final must be >= 0, got {self.t_final}")
+        step_count(self.t_final, self.dt)
         if self.params.mu > 0 and self.params.mu >= self.params.alpha / 2.0:
             raise ConfigurationError(
                 f"analyticity diagnostics need mu < alpha/2 "
@@ -185,38 +186,24 @@ def parse_config(text: str) -> RunConfig:
 
 
 def config_to_text(cfg: RunConfig) -> str:
-    """Canonical text form (archivable; parses back to an equal config)."""
-    tol = "auto" if cfg.picard_tol is None else repr(cfg.picard_tol)
-    modes = ", ".join(f"{n}:{a!r}:{p!r}" for n, a, p in cfg.h_modes)
-    xmodes = ", ".join(f"{n}:{a!r}:{p!r}" for n, a, p in cfg.xi_modes)
-    return "\n".join([
-        "[model]",
-        f"alpha = {cfg.params.alpha!r}",
-        f"epsilon = {cfg.params.epsilon!r}",
-        f"kappa = {cfg.params.kappa!r}",
-        f"mu = {cfg.params.mu!r}",
-        "[grid]",
-        f"n_modes = {cfg.n_modes}",
-        f"depth = {cfg.depth!r}",
-        f"n_depth = {cfg.n_depth}",
-        "[time]",
-        f"dt = {cfg.dt!r}",
-        f"t_final = {cfg.t_final!r}",
-        "[initial]",
-        f"preset = {cfg.preset}",
-        f"amplitude = {cfg.amplitude!r}",
-        *([f"h_modes = {modes}"] if modes else []),
-        *([f"xi_modes = {xmodes}"] if xmodes else []),
-        "[numerics]",
-        f"picard_tol = {tol}",
-        f"picard_max_iter = {cfg.picard_max_iter}",
-        f"margin_min = {cfg.margin_min!r}",
-        "[output]",
-        f"directory = {cfg.directory}",
-        f"record_every = {cfg.record_every}",
-        f"snapshot_every = {cfg.snapshot_every}",
-        "",
-    ])
+    """Canonical text form (archivable; parses back to an equal config):
+    every key of _SCHEMA in its order, the model's from cfg.params, None as
+    `auto`, floats by repr, and empty mode lists left out."""
+    lines = []
+    for section, keys in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        for key in keys:
+            value = getattr(cfg.params if section == "model" else cfg, key)
+            if key in ("h_modes", "xi_modes"):
+                if not value:
+                    continue
+                value = ", ".join(f"{n}:{a!r}:{p!r}" for n, a, p in value)
+            elif value is None:
+                value = "auto"
+            elif isinstance(value, float):
+                value = repr(value)
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines + [""])
 
 
 # ---------------------------------------------------------------------------

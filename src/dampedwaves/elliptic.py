@@ -26,14 +26,14 @@ integration of ∂₂g₂.
 
 Every field of a sweep is built from harmonic extensions, so mode n of the
 forcing at depth x₂ is of size e^{n·x₂} against its top value.  The sweep
-therefore forms g = −Q∇(φ₁+φ₂) in the depth blocks of GeometryBundle.neg_q
-(geometry._depth_blocks): a block keeps the modes below its cap K and
-multiplies on 3K points, and it drops mode n at depth x₂ only where
-n·|x₂| > geometry.ROUNDOFF_EXPONENT = 42, a relative size under
-e^{−42} ≈ 6e-19, far below one ulp of the largest entry.  The Poisson
-kernels are bounded by 1, so the dropped entries move φ₂ by no more than
-round-off; a grid whose rows all keep N/2 modes sweeps in one block,
-bitwise as a full-band sweep.
+therefore forms g = −Q∇(φ₁+φ₂) in depth blocks (_depth_blocks): a block
+keeps the modes below its cap K and multiplies on 3K points, and it drops
+mode n at depth x₂ only where n·|x₂| > ROUNDOFF_EXPONENT = 42, a relative
+size under e^{−42} ≈ 6e-19, far below one ulp of the largest entry.  −Q is
+sampled per block from the interface b alone, δψ = e^{x₂Λ}b, as the
+flattened problem fixes it.  The Poisson kernels are bounded by 1, so the
+dropped entries move φ₂ by no more than round-off; a grid whose rows all
+keep N/2 modes sweeps in one block, bitwise as a full-band sweep.
 
 A solve starts from a given (φ₂, ∂₂φ₂): the stepper hands each solve the
 solution of a nearby state, so that a warm solve takes about one sweep.
@@ -102,6 +102,31 @@ def _scan_tables(grid: StripGrid) -> tuple[int, np.ndarray, np.ndarray, np.ndarr
     growth[:, 0] = 0.0
     w0, w1 = (0.5 * grid.dz * w[:, None] for w in _product_trapezoid_weights(theta))
     return block, w0 * growth, w1 * growth, np.exp(-theta[:, None] * r), np.exp(-theta * block)
+
+
+ROUNDOFF_EXPONENT = 42.0    # a block drops mode n at depth z only where n·|z| exceeds
+                            # this: e^{−42} ≈ 6e-19 of the top size, under round-off
+
+
+@lru_cache(maxsize=16)
+def _depth_blocks(grid: StripGrid) -> tuple[tuple[int, int, int], ...]:
+    """Contiguous depth-row blocks (start, stop, K), bottom up, that cover
+    the rows: a block's sweep fluxes −Q∇(φ₁+φ₂) keep the modes 0..K−1.
+    Each row takes the smallest cap K of N/2, N/4, … (K >= 4) with
+    K·|z| > ROUNDOFF_EXPONENT, and N/2 when there is none, so every dropped
+    (n, z) has n·|z| > ROUNDOFF_EXPONENT and the caps grow towards the top.
+
+    Every such flux is built from harmonic extensions, so its mode n at
+    depth z is of size e^{n·z} against its top value: a dropped entry is
+    under e^{−42} of the largest, far below its ulp."""
+    depth = -grid.z
+    cap = np.full(grid.n_depth, grid.n_modes // 2)
+    k = grid.n_modes // 4
+    while k >= 4:
+        cap[k * depth > ROUNDOFF_EXPONENT] = k
+        k //= 2
+    edges = [0, *(np.flatnonzero(np.diff(cap)) + 1).tolist(), grid.n_depth]
+    return tuple((lo, hi, int(cap[lo])) for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 @dataclass(frozen=True)
@@ -268,18 +293,21 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
     differences (see _mixing_coefficients); a singular fit falls back to the
     plain P(φ₂) for that sweep.  Every sweep is one poisson_divform call.
 
-    The sweeps multiply by bundle.neg_q as it is, and share one workspace,
-    allocated per solve, per depth block of cap K: one half-spectrum buffer,
-    into which a sweep writes ∂₁(φ₁+φ₂) and ∂₂(φ₁+φ₂) of the modes < K,
-    zero-padded, and its rfft writes g₁, g₂; the samples, turned into g in
-    place; and two scratch planes.  Each block places its modes < K in one
-    (2, N/2, N_z) forcing, zeroed once per solve so that the dropped entries
-    stay exactly 0, which poisson_divform reads through field views without
-    a copy.  A dropped (n, x₂) has n·|x₂| > ROUNDOFF_EXPONENT, so the blocks
-    move the result by round-off only (see the module docstring).  The
-    arithmetic of a block is that of values_stack, the pointwise products
-    and project_stack, in the same order, so a one-block sweep is bitwise
-    the same.
+    Per depth block (_depth_blocks) of cap K the solve first samples
+    −Q¹₁ = −δψ,₂, −Q¹₂ = δψ,₁ and −Q²₂ = (δψ,₂ − (δψ,₁)²)/J of the block's
+    rows on pad_size(2K, 2) points, from the modes < K of δψ = e^{x₂Λ}b,
+    b = bundle.boundary.  The sweeps multiply by these samples as they are
+    and share one workspace per block: one half-spectrum buffer, into which
+    a sweep writes ∂₁(φ₁+φ₂) and ∂₂(φ₁+φ₂) of the modes < K, zero-padded,
+    and its rfft writes g₁, g₂; the samples, turned into g in place; and two
+    scratch planes.  Each block places its modes < K in one (2, N/2, N_z)
+    forcing, zeroed once per solve so that the dropped entries stay exactly
+    0, which poisson_divform reads through field views without a copy.  A
+    dropped (n, x₂) has n·|x₂| > ROUNDOFF_EXPONENT, so the blocks move the
+    result by round-off only (see the module docstring).  The arithmetic of
+    a block is that of values_stack, the pointwise products and
+    project_stack, in the same order, so a one-block sweep is bitwise the
+    same.
 
     Stops when the successive-iterate change P(φ₂) − φ₂ in the k=0 strip norm
     falls below tol and returns the last P(φ₂).  Raises ContractionError when
@@ -294,18 +322,25 @@ def solve_phi2(bundle: GeometryBundle, phi1: StripField,
         raise ContractionError("geometry margin is not positive")
     k = grid.n_modes // 2
     dx_symbol = _fixed_symbol("dx", grid.n_modes, 0.0, 2)
+    lam_symbol = _fixed_symbol("lam", grid.n_modes, 1.0, 2)
+    b = bundle.boundary.coeffs[:, None]
     dz1 = lam(phi1).coeffs
     weight = mode_multiplicity(grid.n_modes)[:, None]
     # the forcing g₁, g₂ that poisson_divform reads; a block's modes >= K stay 0
     forcing = np.zeros((2, k, grid.n_depth), dtype=np.complex128)
     g1v, g2v = phi1._like(forcing[0]), phi1._like(forcing[1])
     blocks = []
-    for lo, hi, cap, nq in bundle.neg_q:
+    for lo, hi, cap in _depth_blocks(grid):
         # half spectra depth-major (rows, m/2+1), like the transforms' lines
-        rows, m = nq[0].shape
-        blocks.append((lo, hi, cap, nq,
-                       np.empty((2, rows, m // 2 + 1), dtype=np.complex128),
-                       np.empty((2, rows, m)), np.empty((2, rows, m))))
+        m = pad_size(2 * cap, 2)
+        spec = np.zeros((2, hi - lo, m // 2 + 1), dtype=np.complex128)
+        psi = extension_profile(grid)[:cap, lo:hi] * b[:cap]    # δψ = e^{x₂Λ}b
+        spec[0, :, :cap] = (dx_symbol[:cap] * psi).T
+        spec[1, :, :cap] = (lam_symbol[:cap] * psi).T
+        d1, d2 = np.fft.irfft(spec, n=m, axis=-1, norm="forward")   # δψ,₁, δψ,₂
+        nq = (-d2, d1, (d2 - d1 * d1) / (1.0 + d2))     # −Q¹₁, −Q¹₂, −Q²₂
+        blocks.append((lo, hi, cap, nq, spec, np.empty((2, hi - lo, m)),
+                       np.empty((2, hi - lo, m))))
 
     phi2, dz2 = start if start is not None else (zero_strip(grid),) * 2
     out_phi, out_dz = phi2, dz2

@@ -29,7 +29,7 @@ vanishes and a step is the propagator alone.
 
 A run at ε > 0 steps only the modes that carry content: before each step it
 picks a working cap K from N/2, N/4, … (K >= 4), the horizontal twin of the
-depth blocks of `geometry._depth_blocks`, with their threshold
+depth blocks of `elliptic._depth_blocks`, with their threshold
 e^{−ROUNDOFF_EXPONENT}·max(|ĥ|, |ξ̂|) ≈ 6e-19 of the largest coefficient.
 K's guard band is its top quarter, the modes 3K/4..K−1.  K doubles before
 any step whose input has content above the threshold in K's guard band, and
@@ -43,14 +43,16 @@ with N/2 < 8 it keeps N/2 throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .elliptic import EllipticSolution, gradient_norm, solve_phi1, solve_phi2
+from .elliptic import (ROUNDOFF_EXPONENT, EllipticSolution, gradient_norm,
+                       solve_phi1, solve_phi2)
 from .errors import ConfigurationError, NumericsError
-from .geometry import ROUNDOFF_EXPONENT, StripField, StripGrid, build_geometry
+from .geometry import StripField, StripGrid, build_geometry
 from .spectral import (SpectrumField, dx, dxx, lam, mollify, pad_size,
                        project_stack, stored_modes, values_stack, zero_field)
 
@@ -167,18 +169,14 @@ def propagator_entries(modes: np.ndarray, alpha: float, dt: float,
     return decay * cosd, -decay * c * sincd, decay * b * sincd, decay * cosd
 
 
-def _apply_linear(factors, u: np.ndarray) -> np.ndarray:
-    a, b, c = factors
-    return np.array([-a * u[0] - c * u[1], b * u[0] - a * u[1]])
-
-
 @lru_cache(maxsize=16)
 def _step_tables(n_modes: int, alpha: float, dt: float, kappa: float):
-    """The step's propagator entries and M's factors, built once per
-    (N, α, dt, κ) (shared, read-only)."""
+    """The step's per-mode 2×2 matrices, entrywise (m11, m12, m21, m22):
+    the propagator exp(dt·M) and M = [[−a, −c], [b, −a]] itself, built once
+    per (N, α, dt, κ) (shared, read-only)."""
     modes = stored_modes(n_modes)
-    tables = (propagator_entries(modes, alpha, dt, kappa),
-              _linear_factors(modes, alpha, kappa))
+    a, b, c = _linear_factors(modes, alpha, kappa)
+    tables = (propagator_entries(modes, alpha, dt, kappa), (-a, -c, b, -a))
     for arr in (*tables[0], *tables[1]):
         arr.setflags(write=False)
     return tables
@@ -246,7 +244,7 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    p, factors = _step_tables(state.n_modes, params.alpha, dt, params.kappa)
+    p, m = _step_tables(state.n_modes, params.alpha, dt, params.kappa)
     u0 = _pack(state)
     iters = sweeps = solves = mixed = 0
     bulk = None
@@ -266,7 +264,7 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
             bulk = gradient_norm(r0.solution.phi1, r0.solution.phi2,
                                  r0.solution.dzphi2)
         phi2 = (r0.solution.phi2, r0.solution.dzphi2)
-        k1 = np.array([r0.xi_t.coeffs, r0.h_t.coeffs]) - _apply_linear(factors, u0)
+        k1 = np.array([r0.xi_t.coeffs, r0.h_t.coeffs]) - _apply(m, u0)
         if record:
             remainder = state.xi._like(k1[0].copy())
         del r0                                # freed before the second solve
@@ -284,7 +282,7 @@ def step(state: SimState, params: ModelParams, grid: StripGrid, dt: float,
         solves = 2
         mixed += r1.solution.mixed_from is not None
         phi2_pred = (r1.solution.phi2, r1.solution.dzphi2)
-        k2 = np.array([r1.xi_t.coeffs, r1.h_t.coeffs]) - _apply_linear(factors, u_pred)
+        k2 = np.array([r1.xi_t.coeffs, r1.h_t.coeffs]) - _apply(m, u_pred)
         u1 = _apply(p, u0) + 0.5 * dt * (_apply(p, k1) + k2)
 
     drift = abs(_finite(u1, "new state")[1][0])
@@ -373,10 +371,21 @@ class Trajectory:
         return np.array([s.t for s in self.states])
 
 
+def step_count(t_final: float, dt: float) -> int:
+    """The number of dt steps that end at t_final; ConfigurationError unless
+    t_final/dt is within 1e-9 of a whole number (t_final = 0 is 0 steps)."""
+    ratio = t_final / dt if t_final else 0.0
+    if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9):
+        raise ConfigurationError(
+            f"t_final = {t_final!r} is not a whole number of steps of dt = {dt!r}")
+    return round(ratio)
+
+
 def run(h0: SpectrumField, xi0: SpectrumField, params: ModelParams,
         grid: StripGrid, dt: float, t_final: float, record_every: int = 10,
         opts: StepOptions | None = None) -> Trajectory:
-    """Advance to t_final, recording every record_every steps (plus endpoints).
+    """Advance to t_final in step_count(t_final, dt) steps, recording every
+    record_every steps (plus endpoints).
 
     Each step's φ₂ solves start from the last step's (see step).  At ε > 0
     each step runs on a working cap K of the stored modes, picked before
@@ -392,13 +401,13 @@ def run(h0: SpectrumField, xi0: SpectrumField, params: ModelParams,
         raise ConfigurationError(f"t_final must be >= 0, got {t_final}")
     if record_every < 1:
         raise ConfigurationError("record_every must be >= 1")
+    n_steps = step_count(t_final, dt)
     if opts is None:
         opts = StepOptions.for_dt(dt)
     state = SimState(h=h0, xi=xi0, t=0.0)
     records = [state]
     bulk: list[float | None] = [None]
     remainders: list[SpectrumField | None] = [None]
-    n_steps = int(round(t_final / dt)) if t_final > 0 else 0
     max_drift = 0.0
     max_iters = sweeps = solves = mixed = 0
     info = None                 # the last step's, for one step

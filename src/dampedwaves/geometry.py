@@ -8,6 +8,10 @@ depth grid.  Given an interface b (the boundary trace used for flattening),
     A = (∇ψ)⁻¹ = (1/J) [[J, 0], [−δψ,₁, 1]]
     Q = J A Aᵀ − Id = [[δψ,₂, −δψ,₁], [−δψ,₁, ((δψ,₁)² − δψ,₂)/J]]
 
+so b alone fixes all of them.  A `GeometryBundle` therefore keeps only b
+and min J; the φ₂ sweep samples −Q from b in its own depth blocks
+(`elliptic.solve_phi2`), and the full-band fields are derived on read.
+
 Everything is stored mode-wise; derivatives of the harmonic extension are
 the shared multipliers `spectral.dx` (in) and `spectral.lam` (|n|), and
 finite-difference stencils are reserved for residual checks.  A strip field
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -190,67 +193,31 @@ def harmonic_extension(h: SpectrumField, grid: StripGrid) -> StripField:
     return StripField(grid, extension_profile(grid) * h.coeffs[:, None])
 
 
-# ---------------------------------------------------------------------------
-# depth blocks: the modes above round-off at each depth
-
-ROUNDOFF_EXPONENT = 42.0    # a block drops mode n at depth z only where n·|z| exceeds
-                            # this: e^{−42} ≈ 6e-19 of the top size, under round-off
-
-
-@lru_cache(maxsize=16)
-def _depth_blocks(grid: StripGrid) -> tuple[tuple[int, int, int], ...]:
-    """Contiguous depth-row blocks (start, stop, K), bottom up, that cover
-    the rows: a block's sweep fluxes −Q∇(φ₁+φ₂) keep the modes 0..K−1.
-    Each row takes the smallest cap K of N/2, N/4, … (K >= 4) with
-    K·|z| > ROUNDOFF_EXPONENT, and N/2 when there is none, so every dropped
-    (n, z) has n·|z| > ROUNDOFF_EXPONENT and the caps grow towards the top.
-
-    Every such flux is built from harmonic extensions, so its mode n at
-    depth z is of size e^{n·z} against its top value: a dropped entry is
-    under e^{−42} of the largest, far below its ulp."""
-    depth = -grid.z
-    cap = np.full(grid.n_depth, grid.n_modes // 2)
-    k = grid.n_modes // 4
-    while k >= 4:
-        cap[k * depth > ROUNDOFF_EXPONENT] = k
-        k //= 2
-    edges = [0, *(np.flatnonzero(np.diff(cap)) + 1).tolist(), grid.n_depth]
-    return tuple((lo, hi, int(cap[lo])) for lo, hi in zip(edges[:-1], edges[1:]))
-
-
-def block_values(fields: Sequence[StripField], lo: int, hi: int, cap: int) -> np.ndarray:
-    """Samples of the depth rows lo:hi of strip fields from their modes
-    0..cap−1 on the m = pad_size(2·cap, 2) grid of a product of two such
-    fields: shape (len(fields), hi − lo, m), depth-major.  With cap = N/2
-    every row's samples are those of values_stack at pad_size(N, 2), bit
-    for bit."""
-    m = pad_size(2 * cap, 2)
-    half = np.zeros((len(fields), hi - lo, m // 2 + 1), dtype=np.complex128)
-    for plane, f in zip(half, fields):
-        plane[:, :cap] = f.coeffs[:cap, lo:hi].T
-    return np.fft.irfft(half, n=m, axis=-1, norm="forward")
-
-
 @dataclass(frozen=True)
 class GeometryBundle:
-    """δψ's derivatives and the tensors J, A, Q = JAAᵀ − Id of one interface.
+    """The flattening of one interface: δψ = e^{x₂Λ}b is fixed by the
+    boundary b alone, and so are J, A and Q = JAAᵀ − Id.
 
-    neg_q is the φ₂ sweep's −Q: per depth block (lo, hi, K) of _depth_blocks,
-    the samples (hi − lo, pad_size(2K, 2)) of −Q¹₁ = −δψ,₂, −Q¹₂ = δψ,₁ and
-    −Q²₂ = (δψ,₂ − (δψ,₁)²)/J from δψ's modes < K (block_values).  Q¹₁, Q¹₂
-    and the full-band Q²₂ (the FD oracle's) are derived on read, the A row
-    only by identity_defect; A¹₁ ≡ 1 and A¹₂ ≡ 0 are not materialized.
-    diffeo_margin (> 0 on admissible states) is min J on the top row's
-    pad_size(N, 3) samples: J − 1 = δψ,₂ is harmonic and decays with depth,
-    so by the maximum principle its minimum over the strip lies there.
+    The φ₂ sweep samples its −Q from the boundary in its own depth blocks
+    (elliptic.solve_phi2); δψ's derivatives and Q on all N/2 modes (the FD
+    oracle's) are derived on read, the A row only by identity_defect;
+    A¹₁ ≡ 1 and A¹₂ ≡ 0 are not materialized.  diffeo_margin (> 0 on
+    admissible states) is min J on the top row's pad_size(N, 3) samples:
+    J − 1 = δψ,₂ is harmonic and decays with depth, so by the maximum
+    principle its minimum over the strip lies there.
     """
 
     grid: StripGrid
     boundary: SpectrumField          # the trace the flattening was built from
-    dpsi1: StripField                # δψ,₁
-    dpsi2: StripField                # δψ,₂  (= J − 1, analytic)
-    neg_q: tuple[tuple[int, int, int, tuple[np.ndarray, ...]], ...]
     diffeo_margin: float
+
+    @property
+    def dpsi1(self) -> StripField:   # δψ,₁
+        return dx(harmonic_extension(self.boundary, self.grid))
+
+    @property
+    def dpsi2(self) -> StripField:   # δψ,₂  (= J − 1, analytic)
+        return lam(harmonic_extension(self.boundary, self.grid))
 
     @property
     def q11(self) -> StripField:     # Q¹₁ = δψ,₂
@@ -263,33 +230,28 @@ class GeometryBundle:
     @property
     def q22(self) -> StripField:
         """Q²₂ = ((δψ,₁)² − δψ,₂)/J on all N/2 modes, sampled as degree 3."""
-        d1, d2 = values_stack([self.dpsi1, self.dpsi2], pad_size(self.grid.n_modes, 3))
-        return project((d1 * d1 - d2) / (1.0 + d2), self.dpsi1)
+        dpsi1 = self.dpsi1
+        d1, d2 = values_stack([dpsi1, self.dpsi2], pad_size(self.grid.n_modes, 3))
+        return project((d1 * d1 - d2) / (1.0 + d2), dpsi1)
 
 
 def build_geometry(h: SpectrumField, grid: StripGrid,
                    margin_min: float = 0.1) -> GeometryBundle:
     """Geometry bundle for the flattening built from interface trace h.
 
-    Raises DiffeomorphismError when min(1 + δψ,₂) <= margin_min, mirroring
-    the smallness requirement that makes ψ injective; the check reads only
-    the boundary and comes before any strip field is built.
+    Raises ConfigurationError when h and grid differ in their mode counts,
+    and DiffeomorphismError when min(1 + δψ,₂) <= margin_min, mirroring the
+    smallness requirement that makes ψ injective; both checks read only the
+    boundary, and no strip field is built.
     """
+    if h.n_modes != grid.n_modes:
+        raise ConfigurationError("interface and grid mode counts differ")
     margin = float(np.min(1.0 + values_on_grid(lam(h), pad_size(h.n_modes, 3))))
     if margin <= margin_min:
         raise DiffeomorphismError(
             f"not a diffeomorphism at this amplitude: min J = {margin:.4f} "
             f"<= margin_min = {margin_min:g}")
-
-    psi = harmonic_extension(h, grid)
-    dpsi1, dpsi2 = dx(psi), lam(psi)
-    del psi                               # freed before sampling: peak memory
-    neg_q = []
-    for lo, hi, cap in _depth_blocks(grid):
-        d1, d2 = block_values([dpsi1, dpsi2], lo, hi, cap)
-        neg_q.append((lo, hi, cap, (-d2, d1, (d2 - d1 * d1) / (1.0 + d2))))
-    return GeometryBundle(grid=grid, boundary=h, dpsi1=dpsi1, dpsi2=dpsi2,
-                          neg_q=tuple(neg_q), diffeo_margin=margin)
+    return GeometryBundle(grid=grid, boundary=h, diffeo_margin=margin)
 
 
 def identity_defect(bundle: GeometryBundle) -> float:
@@ -299,9 +261,10 @@ def identity_defect(bundle: GeometryBundle) -> float:
     A²₁ + A²₂ δψ,₁ = 0 and A²₂ (1 + δψ,₂) = 1.
     """
     m = pad_size(bundle.grid.n_modes, 3)
-    d1, d2 = values_stack([bundle.dpsi1, bundle.dpsi2], m)
+    dpsi1 = bundle.dpsi1
+    d1, d2 = values_stack([dpsi1, bundle.dpsi2], m)
     j = 1.0 + d2
-    a21, a22 = values_stack(project_stack([-d1 / j, 1.0 / j], bundle.dpsi1), m)
+    a21, a22 = values_stack(project_stack([-d1 / j, 1.0 / j], dpsi1), m)
     r21 = a21 + a22 * d1
     r22 = a22 * j - 1.0
     return float(max(np.max(np.abs(r21)), np.max(np.abs(r22))))

@@ -23,11 +23,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericsError
+from .errors import ConfigurationError, NumericsError, SingularityError
 from .geometry import StripField
-from .spectral import (SpectrumField, lam, mode_multiplicity, pointwise_apply,
-                       pointwise_power, pointwise_product, reciprocal_guard,
-                       stored_modes)
+from .spectral import (SpectrumField, lam, mode_multiplicity, pad_size,
+                       pointwise_power, pointwise_product, project,
+                       stored_modes, values_on_grid)
 
 DEFAULT_SLACK = 1e-9          # analytic checks
 QUADRATURE_SLACK = 1e-6       # checks involving depth quadrature
@@ -134,11 +134,16 @@ def constant_K(r: float, s: float, n: int) -> float:
 # composition with G(x) = x/(1+x)
 
 def compose_G(v: SpectrumField) -> SpectrumField:
-    """Pointwise x/(1+x), evaluated in physical space and re-projected;
-    raises SingularityError where a sample of 1 + x is <= 0."""
-    guard = reciprocal_guard()
-    return pointwise_apply(lambda x: x / (1.0 + x), v,
-                           guard=lambda x: guard(1.0 + x))
+    """Pointwise x/(1+x) on v's pad_size(N, 3) samples (a rational factor),
+    projected back; raises SingularityError, naming x₁, where a sample of
+    1 + v is <= 0."""
+    x = values_on_grid(v, pad_size(v.n_modes, 3))
+    denom = 1.0 + x
+    j = int(np.argmin(denom))
+    if denom[j] <= 0.0:
+        raise SingularityError(
+            f"denominator {denom[j]:.3e} <= 0 at x1={2.0 * np.pi * j / x.size:.4f}")
+    return project(x / denom, v)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,12 @@ is the two-thirds rule).  Rational factors such as 1/(1+Λh) are sampled as
 degree 3 by convention.
 
 The φ₂ sweep's flux −Q∇φ, in a depth block that keeps the modes below K,
-multiplies by −Q as `geometry.build_geometry` sampled it on the flux's own
-pad_size(2K, 2) grid, its rational entry Q²₂ not projected first.  A kept
-mode then misses only aliased terms q̂(k)û(l) with |k| + |l| > 2K, not every
-term with |k| >= K: about e^{−2ρK} in place of e^{−ρK} for spectra decaying
-like e^{−ρ|n|} (Boyd, Chebyshev and Fourier Spectral Methods, 2001, ch. 11).
+multiplies by −Q as `elliptic.solve_phi2` samples it from the interface on
+the flux's own pad_size(2K, 2) grid, its rational entry Q²₂ not projected
+first.  A kept mode then misses only aliased terms q̂(k)û(l) with
+|k| + |l| > 2K, not every term with |k| >= K: about e^{−2ρK} in place of
+e^{−ρK} for spectra decaying like e^{−ρ|n|} (Boyd, Chebyshev and Fourier
+Spectral Methods, 2001, ch. 11).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericsError, SingularityError
+from .errors import ConfigurationError, NumericsError
 
 
 def _check_n_modes(n_modes: int) -> None:
@@ -310,32 +311,3 @@ def pointwise_power(f: SpectrumField, n: int) -> SpectrumField:
     if n < 1:
         raise ConfigurationError(f"power must be >= 1, got {n}")
     return project(values_on_grid(f, pad_size(f.n_modes, n)) ** n, f)
-
-
-def pointwise_apply(func: Callable[..., np.ndarray],
-                    *fields: SpectrumField,
-                    guard: Callable[[np.ndarray], None] | None = None) -> SpectrumField:
-    """Evaluate func on padded physical samples of the fields and re-project.
-
-    Used for the rational nonlinearities (1/(1+Λh) and friends), which are
-    evaluated pointwise rather than by their geometric series and sampled as
-    degree 3.  `guard`, if given, sees the sample arrays before evaluation
-    and may raise.
-    """
-    samples = values_stack(fields, pad_size(fields[0].n_modes, 3))
-    if guard is not None:
-        guard(*samples)
-    return project(func(*samples), fields[0])
-
-
-def reciprocal_guard(threshold: float = 0.0):
-    """Guard raising SingularityError where samples are <= threshold."""
-
-    def _guard(values: np.ndarray, *_rest: np.ndarray) -> None:
-        j = int(np.argmin(values))
-        if values[j] <= threshold:
-            x = 2.0 * np.pi * j / values.size
-            raise SingularityError(
-                f"denominator {values[j]:.3e} <= {threshold:g} at x1={x:.4f}")
-
-    return _guard

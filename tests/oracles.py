@@ -2,9 +2,9 @@
 
 Small helpers that number the modes of the FFT layout and read a spectrum
 by signed mode; M·u written from the evolution docstring's M(n); the lemma
-checks whose sharp constants the package's runs never evaluate; the
-geometry as built before it was built in depth blocks, and random analytic
-states to build it from; the ξ energy budget as computed before the
+checks whose sharp constants the package's runs never evaluate; the φ₂
+solve as it ran before its depth blocks, and random analytic states to run
+it on; the ξ energy budget as computed before the
 stepper carried its remainder, by solving every interior record afresh
 on the working band and from the start the stepper's solve had; and the
 boundary system's right-hand side from the surface alone, through the
@@ -15,13 +15,17 @@ from __future__ import annotations
 
 import itertools
 from math import factorial
+from unittest import mock
 
 import numpy as np
 
+from dampedwaves import elliptic as el
 from dampedwaves import evolution as ev
 from dampedwaves.diagnostics import BUDGET_REL_SLACK, floored_wiener
-from dampedwaves.errors import ConfigurationError, DiffeomorphismError
-from dampedwaves.geometry import GeometryBundle, StripGrid, harmonic_extension
+from dampedwaves.elliptic import EllipticSolution
+from dampedwaves.errors import ConfigurationError
+from dampedwaves.geometry import (GeometryBundle, StripField, StripGrid,
+                                  harmonic_extension)
 from dampedwaves.harness import random_boundary_field
 from dampedwaves.norms import (DEFAULT_SLACK, QUADRATURE_SLACK, InequalityReport,
                                NormSpec, wiener_norm)
@@ -119,22 +123,16 @@ def check_extension_chain(xi: SpectrumField, grid: StripGrid, r: float, s: float
     return InequalityReport.compare(lhs, rhs, 1.0, slack)
 
 
-def full_band_geometry(h: SpectrumField, grid: StripGrid,
-                       margin_min: float = 0.1) -> GeometryBundle:
-    """build_geometry as it was before its depth blocks: min J over every
-    depth row of the pad_size(N, 3) grid, and −Q in one block of every row,
-    sampled from all N/2 modes of δψ,₁ and δψ,₂ on the pad_size(N, 2) grid."""
-    psi = harmonic_extension(h, grid)
-    dpsi1, dpsi2 = dx(psi), lam(psi)
-    margin = float(np.min(1.0 + values_stack([dpsi2], pad_size(grid.n_modes, 3))))
-    if margin <= margin_min:
-        raise DiffeomorphismError(f"min J = {margin:.4f} <= margin_min = {margin_min:g}")
-    # depth-major samples (N_z, m), as the blocks of build_geometry hold them
-    d1, d2 = values_stack([dpsi1, dpsi2], pad_size(grid.n_modes, 2)).swapaxes(1, 2)
-    neg_q = (-d2, d1, (d2 - d1 * d1) / (1.0 + d2))
-    return GeometryBundle(grid=grid, boundary=h, dpsi1=dpsi1, dpsi2=dpsi2,
-                          neg_q=((0, grid.n_depth, grid.n_modes // 2, neg_q),),
-                          diffeo_margin=margin)
+def full_band_solve(bundle: GeometryBundle, phi1: StripField,
+                    **kw) -> EllipticSolution:
+    """solve_phi2 as it ran before its depth blocks: one block of every depth
+    row that keeps all N/2 modes, so −Q is sampled from all of δψ's modes on
+    the pad_size(N, 2) grid."""
+    def one_block(grid: StripGrid) -> tuple[tuple[int, int, int], ...]:
+        return ((0, grid.n_depth, grid.n_modes // 2),)
+
+    with mock.patch.object(el, "_depth_blocks", one_block):
+        return el.solve_phi2(bundle, phi1, **kw)
 
 
 def analytic_data(n: int, seed: int = 0) -> tuple[SpectrumField, SpectrumField]:

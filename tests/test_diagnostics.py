@@ -85,8 +85,10 @@ class TestDecayRate:
         """k=1, α=3 linear run: fitted δ̂ → αk² = 3 within 2%."""
         grid = geo.StripGrid(16, depth=8.0, n_depth=65)
         params = ev.ModelParams(alpha=3.0, epsilon=0.0, mu=0.0)
+        # the first whole step past one oscillation period 2π
+        dt = 2e-3
         traj = ev.run(sp.cosine(1, 1e-3, 16), sp.sine(1, 1e-3, 16), params, grid,
-                      2e-3, 2.0 * np.pi, record_every=5)
+                      dt, np.ceil(2.0 * np.pi / dt) * dt, record_every=5)
         recs = dg.compute_records(traj)
         t = np.array([r.t for r in recs])
         lyap = np.array([r.lyapunov for r in recs])

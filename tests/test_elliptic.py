@@ -10,7 +10,7 @@ from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
 from dampedwaves.config import initial_data, parse_config
 from dampedwaves.errors import ContractionError
-from oracles import analytic_data, coeff, full_band_geometry, signed_modes
+from oracles import analytic_data, coeff, full_band_solve, signed_modes
 from dampedwaves.norms import NormSpec, strip_norm
 from dampedwaves.harness import (elliptic_bound_trials, random_boundary_field,
                                  manufactured_solution_errors,
@@ -400,7 +400,7 @@ class TestDepthBlocks:
         (128, 384, 8.0), (12, 97, 40.0), (256, 129, 40.0)])
     def test_block_map(self, n_modes, n_depth, depth):
         grid = geo.StripGrid(n_modes, depth=depth, n_depth=n_depth)
-        blocks = geo._depth_blocks(grid)
+        blocks = el._depth_blocks(grid)
         assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]]
         assert blocks[-1][1] == n_depth and all(lo < hi for lo, hi, _ in blocks)
         caps = [cap for _, _, cap in blocks]
@@ -408,16 +408,13 @@ class TestDepthBlocks:
         assert all(cap >= 4 for cap in caps[:-1])
         for lo, hi, cap in blocks:
             dropped = grid.modes[cap:, None] * np.abs(grid.z[lo:hi])
-            assert np.all(dropped > geo.ROUNDOFF_EXPONENT)
-        assert geo._depth_blocks(grid) is blocks
-        # the sweep runs in the blocks the geometry samples −Q in
-        bundle = geo.build_geometry(sp.zero_field(n_modes), grid)
-        assert tuple(q[:3] for q in bundle.neg_q) == blocks
+            assert np.all(dropped > el.ROUNDOFF_EXPONENT)
+        assert el._depth_blocks(grid) is blocks
 
     def test_bench_grids(self):
         def rows_and_caps(n_modes, n_depth):
             return [(hi - lo, cap) for lo, hi, cap in
-                    geo._depth_blocks(geo.StripGrid(n_modes, depth=8.0, n_depth=n_depth))]
+                    el._depth_blocks(geo.StripGrid(n_modes, depth=8.0, n_depth=n_depth))]
         assert rows_and_caps(8, 48) == [(48, 4)]
         assert rows_and_caps(16, 64) == [(64, 8)]
         assert rows_and_caps(64, 192) == [(66, 8), (63, 16), (63, 32)]
@@ -441,7 +438,7 @@ class TestDepthBlocks:
     @pytest.mark.parametrize("name", STATES)
     def test_sweep_moves_only_round_off(self, name, workload_problem):
         bundle, phi1 = self.state(name, workload_problem)
-        assert len(bundle.neg_q) > 1
+        assert len(el._depth_blocks(bundle.grid)) > 1
         zero = geo.zero_strip(bundle.grid)
         sol = el.solve_phi2(bundle, phi1, tol=1e300, max_iter=1)
         g1, g2, ref = reference_sweep(bundle, phi1, zero, zero)
@@ -455,7 +452,7 @@ class TestDepthBlocks:
         sol = el.solve_phi2(bundle, phi1)
         # one block of all modes: the full-band −Q and the full-band sweep of
         # reference_sweep
-        ref = el.solve_phi2(full_band_geometry(bundle.boundary, bundle.grid), phi1)
+        ref = full_band_solve(bundle, phi1)
         assert sol.picard_iters == ref.picard_iters
         assert sol.mixed_from == ref.mixed_from
         assert rel_diff(sol.phi2, ref.phi2) <= 1e-14

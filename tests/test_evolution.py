@@ -164,11 +164,12 @@ class TestRhs:
         assert diffs[1] / diffs[2] == pytest.approx(2.0, rel=0.15)
 
     def test_reads_only_the_sweeps_q(self, monkeypatch):
-        # the sweep multiplies by the bundle's −Q samples (neg_q); the derived
-        # Q fields are the FD oracle's
+        # the sweep samples −Q from the interface in its depth blocks; the
+        # full-band δψ and Q fields are the FD oracle's, so a right-hand side
+        # builds no full-band δψ strip
         def unread(bundle):
-            raise AssertionError("evaluate_rhs read a derived Q field")
-        for name in ("q11", "q12", "q22"):
+            raise AssertionError("evaluate_rhs read a derived δψ or Q field")
+        for name in ("dpsi1", "dpsi2", "q11", "q12", "q22"):
             monkeypatch.setattr(geo.GeometryBundle, name, property(unread))
         state = ev.SimState(h=sp.cosine(1, 0.05, 32), xi=sp.sine(1, 0.05, 32), t=0.0)
         r = ev.evaluate_rhs(state, ev.ModelParams(alpha=1.0), small_grid())
@@ -222,6 +223,25 @@ class TestSymmetries:
     @given(PARTS, PARTS, AMPLITUDE)
     def test_reflection_commutes_with_rhs(self, h_parts, xi_parts, amplitude):
         self.check(h_parts, xi_parts, amplitude, np.conj)
+
+
+class TestStepCount:
+    @pytest.mark.parametrize("t_final,dt,n", [
+        (0.0, 1e-3, 0), (0.012, 1e-3, 12), (0.2, 1e-3, 200), (1.5, 1e-3, 1500),
+        (0.03, 2e-3, 15), (2.0, 1e-3, 2000)])
+    def test_whole_steps_accepted(self, t_final, dt, n):
+        assert ev.step_count(t_final, dt) == n
+
+    @pytest.mark.parametrize("t_final", [0.0104, 0.0004, np.inf, np.nan])
+    def test_partial_step_rejected(self, t_final):
+        with pytest.raises(ConfigurationError, match="whole number of steps"):
+            ev.step_count(t_final, 1e-3)
+
+    def test_run_rejects_partial_step(self):
+        # 10.4 steps: rounded to 10, the run would stop short of t_final
+        h, xi = sp.cosine(1, 0.01, 8), sp.sine(1, 0.01, 8)
+        with pytest.raises(ConfigurationError, match="t_final = 0.0104"):
+            ev.run(h, xi, ev.ModelParams(alpha=3.0), small_grid(8, 48), 1e-3, 0.0104)
 
 
 class TestStep:

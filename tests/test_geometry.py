@@ -3,12 +3,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dampedwaves import elliptic as el
 from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
 from dampedwaves.config import initial_data, parse_config
 from dampedwaves.errors import ConfigurationError, DiffeomorphismError
 from dampedwaves.harness import random_boundary_field, random_strip_field
-from oracles import analytic_data, boundary_a_minus_identity, full_band_geometry
+from oracles import analytic_data, boundary_a_minus_identity, full_band_solve
 
 
 def laplacian_residual(field: geo.StripField, acc: int = 4) -> float:
@@ -126,62 +127,72 @@ class TestGeometryBundle:
 
 
 class TestBlockedGeometry:
-    """−Q sampled per depth block against the full-band build (oracles)."""
+    """The sweep's −Q, sampled per depth block from the interface, against
+    one block of every row that keeps all modes (oracles.full_band_solve)."""
 
     @staticmethod
-    def boundary(name, monkeypatch):
-        """(εh^κ, grid, margin_min) of a benchmark workload's initial state,
-        or of random analytic data on an analytic_NxNz grid."""
+    def problem(name, monkeypatch):
+        """(εh^κ, ξ^κ, grid, margin_min) of a benchmark workload's initial
+        state, or of random analytic data on an analytic_NxNz grid."""
         kind, size = name.rsplit("_", 1)
         if kind == "analytic":
             n, nz = map(int, size.split("x"))
-            return analytic_data(n)[0], geo.StripGrid(n, depth=8.0, n_depth=nz), 0.1
+            return (*analytic_data(n), geo.StripGrid(n, depth=8.0, n_depth=nz), 0.1)
         monkeypatch.syspath_prepend(str(Path(geo.__file__).resolve().parents[2] / "bench"))
         from workloads import WORKLOADS, config_text
         cfg = parse_config(config_text(WORKLOADS[name], 1))
-        h, _ = initial_data(cfg)
-        return (cfg.params.epsilon * sp.mollify(h, cfg.params.kappa), cfg.grid,
-                cfg.step_options.margin_min)
+        h, xi = initial_data(cfg)
+        kappa = cfg.params.kappa
+        return (cfg.params.epsilon * sp.mollify(h, kappa), sp.mollify(xi, kappa),
+                cfg.grid, cfg.step_options.margin_min)
+
+    @staticmethod
+    def sweeps(h, xi, grid, margin_min=0.1):
+        """One sweep from 0, blocked and in one block: (got, want)."""
+        bundle = geo.build_geometry(h, grid, margin_min=margin_min)
+        phi1 = el.solve_phi1(xi, grid)
+        return (el.solve_phi2(bundle, phi1, tol=np.inf),
+                full_band_solve(bundle, phi1, tol=np.inf))
+
+    @staticmethod
+    def fields(sol):
+        return sol.g1, sol.g2, sol.phi2, sol.dzphi2
 
     @pytest.mark.parametrize("name", ["coarse_linear_8x48", "decay_64x192",
                                       "steep_128x384", "analytic_16x64", "analytic_32x97",
                                       "analytic_64x192", "analytic_128x384"])
     def test_bench_states_match_full_band(self, name, monkeypatch):
-        b, grid, margin_min = self.boundary(name, monkeypatch)
-        got = geo.build_geometry(b, grid, margin_min=margin_min)
-        want = full_band_geometry(b, grid, margin_min=margin_min)
+        b, xi, grid, margin_min = self.problem(name, monkeypatch)
         # the boundary's min J is every row's (the maximum principle)
-        assert got.diffeo_margin == want.diffeo_margin
-        assert tuple(q[:3] for q in got.neg_q) == geo._depth_blocks(grid)
-        (_, _, _, full_q), = want.neg_q
-        lo, hi, _, top_q = got.neg_q[-1]
-        for g, w in zip(top_q, full_q):
-            assert np.array_equal(g, w[lo:hi])
-        for i, w in enumerate(full_q):
-            w_hat = np.fft.rfft(w, axis=-1, norm="forward")
-            scale = np.max(np.abs(w_hat))
-            for lo, hi, cap, q in got.neg_q:
-                g_hat = np.fft.rfft(q[i], axis=-1, norm="forward")[:, :cap]
-                assert np.max(np.abs(g_hat - w_hat[lo:hi, :cap])) <= 1e-15 * scale
+        bundle = geo.build_geometry(b, grid, margin_min=margin_min)
+        rows = sp.values_stack([bundle.dpsi2], sp.pad_size(grid.n_modes, 3))
+        assert bundle.diffeo_margin == float(np.min(1.0 + rows))
+        got, want = self.sweeps(b, xi, grid, margin_min)
+        for g, w in zip(self.fields(got), self.fields(want)):
+            assert np.max(np.abs(g.coeffs - w.coeffs)) <= 1e-15 * np.max(np.abs(w.coeffs))
+        lo = el._depth_blocks(grid)[-1][0]
+        for g, w in zip(self.fields(got)[:2], self.fields(want)[:2]):
+            assert np.array_equal(g.coeffs[:, lo:], w.coeffs[:, lo:])
 
     def test_one_block_grid_is_bitwise_full_band(self):
         grid = geo.StripGrid(16, depth=8.0, n_depth=64)
-        assert len(geo._depth_blocks(grid)) == 1
-        h = random_boundary_field(np.random.default_rng(3), 16, 7, scale=0.05)
-        got, want = geo.build_geometry(h, grid), full_band_geometry(h, grid)
-        assert got.diffeo_margin == want.diffeo_margin
-        (*got_block, got_q), = got.neg_q
-        (*want_block, want_q), = want.neg_q
-        assert got_block == want_block
-        assert all(np.array_equal(g, w) for g, w in zip(got_q, want_q))
+        assert len(el._depth_blocks(grid)) == 1
+        rng = np.random.default_rng(3)
+        h, xi = (random_boundary_field(rng, 16, 7, scale=0.05) for _ in range(2))
+        got, want = self.sweeps(h, xi, grid)
+        assert all(np.array_equal(g.coeffs, w.coeffs)
+                   for g, w in zip(self.fields(got), self.fields(want)))
 
-    def test_block_values_top_block_is_values_stack(self):
+    def test_top_block_forcing_is_bitwise_full_band(self):
+        # the top block samples −Q and ∇φ from every mode on the full grid
         grid = geo.StripGrid(64, depth=8.0, n_depth=192)
-        lo, hi, cap = geo._depth_blocks(grid)[-1]
-        f = geo.harmonic_extension(sp.cosine(1, 0.1, 64) + sp.cosine(3, 0.02, 64), grid)
-        got = geo.block_values([f, sp.lam(f)], lo, hi, cap)
-        want = sp.values_stack([f, sp.lam(f)], sp.pad_size(64, 2))
-        assert cap == 32 and np.array_equal(got, want[:, :, lo:hi].swapaxes(1, 2))
+        lo, hi, cap = el._depth_blocks(grid)[-1]
+        h = sp.cosine(1, 0.1, 64) + sp.cosine(3, 0.02, 64)
+        got, want = self.sweeps(h, sp.sine(1, 0.1, 64), grid)
+        assert cap == 32 and hi == grid.n_depth
+        for g, w in zip(self.fields(got)[:2], self.fields(want)[:2]):
+            assert np.array_equal(g.coeffs[:, lo:], w.coeffs[:, lo:])
+            assert not np.array_equal(g.coeffs, w.coeffs)
 
 
 class TestPiola:

@@ -160,6 +160,11 @@ class TestComposeG:
         with pytest.raises(SingularityError):
             nm.compose_G(v)
 
+    def test_singularity_names_location(self):
+        v = sp.cosine(1, -1.5, 32)   # 1 + v <= 0 around x₁ = 0
+        with pytest.raises(SingularityError, match=r"<= 0 at x1=0\.0000"):
+            nm.compose_G(v)
+
 
 class TestProductRule:
     def test_equality_case(self):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dampedwaves import geometry as geo
 from dampedwaves import spectral as sp
-from dampedwaves.errors import ConfigurationError, NumericsError, SingularityError
+from dampedwaves.errors import ConfigurationError, NumericsError
 from oracles import coeff, grid_points
 
 
@@ -302,16 +302,11 @@ class TestLayout:
         assert np.array_equal(sp.SpectrumField(c).coeffs, c[:16])
 
 
-class TestPointwiseApply:
-    def test_reciprocal_guard_names_location(self):
-        v = sp.cosine(1, 1.5, 32)   # 1 + v vanishes
-        with pytest.raises(SingularityError, match="x1="):
-            sp.pointwise_apply(lambda x: 1.0 / (1.0 + x), v,
-                               guard=sp.reciprocal_guard(-1.0 + 1e-12))
-
+class TestRationalSampling:
     def test_rational_evaluation(self):
+        # a rational factor is sampled as degree 3 and projected back
         v = sp.cosine(1, 0.25, 64)
-        out = sp.pointwise_apply(lambda x: 1.0 / (1.0 + x), v)
+        out = sp.project(1.0 / (1.0 + sp.values_on_grid(v, sp.pad_size(64, 3))), v)
         x = grid_points(64)
         ref = 1.0 / (1.0 + 0.25 * np.cos(x))
         assert np.max(np.abs(sp.values_on_grid(out) - ref)) < 1e-10
